@@ -147,9 +147,6 @@ def evolve_mean(dd: BosonicDriftDiffusion, mean0, t: float) -> np.ndarray:
 def propagate_covariance(dd: BosonicDriftDiffusion, v0, times,
                          method: str = "exact",
                          mean0=None,
-                         hurwitz_tol: float = lyapunov.DEFAULT_HURWITZ_TOL,
-                         residual_tol: float = lyapunov.DEFAULT_RESIDUAL_TOL,
-                         ode_tol: float = lyapunov.DEFAULT_ODE_TOL,
                          rk4_substeps: int = 1) -> Trajectory:
     """Propagate the covariance (and optionally the mean) over a time grid.
 
@@ -159,8 +156,7 @@ def propagate_covariance(dd: BosonicDriftDiffusion, v0, times,
     v0 = require_square(v0, "V0", dtype=float)
     times = lyapunov.validate_times(times)
     vs = lyapunov.propagate(dd.a, dd.d, v0, times, symmetrize, method=method,
-                            hurwitz_tol=hurwitz_tol, residual_tol=residual_tol,
-                            ode_tol=ode_tol, rk4_substeps=rk4_substeps)
+                            rk4_substeps=rk4_substeps)
     if mean0 is None:
         means = [np.zeros(dd.a.shape[0])] * times.size
     else:

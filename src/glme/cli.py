@@ -32,7 +32,6 @@ _TOL_NAMES = {
     "validate": 1e-10,
     "hurwitz": lyapunov.DEFAULT_HURWITZ_TOL,
     "residual": lyapunov.DEFAULT_RESIDUAL_TOL,
-    "quad": lyapunov.DEFAULT_ODE_TOL,
     "physicality": 1e-9,
     "boundary": 1e-9,
     "oracle": 1e-8,
@@ -176,10 +175,7 @@ def evolve(model_path, t_final, steps, method, times_path, state_path, output, f
             v0, mean0 = initial.v, initial.mean
         else:
             raise StructuralError("initial state flavor does not match the model")
-        trajectory = bosonic.propagate_covariance(
-            dd, v0, times, method=method, mean0=mean0,
-            hurwitz_tol=tols["hurwitz"], residual_tol=tols["residual"], ode_tol=tols["quad"],
-        )
+        trajectory = bosonic.propagate_covariance(dd, v0, times, method=method, mean0=mean0)
         text = (io.bosonic_trajectory_csv(trajectory) if fmt == "csv"
                 else io.bosonic_trajectory_json(trajectory))
         _write_output(output, text)
@@ -195,10 +191,7 @@ def evolve(model_path, t_final, steps, method, times_path, state_path, output, f
             sigma0 = initial.sigma
         else:
             raise StructuralError("initial state flavor does not match the model")
-        states = fermionic.propagate_covariance(
-            dd, sigma0, times, method=method,
-            hurwitz_tol=tols["hurwitz"], residual_tol=tols["residual"], ode_tol=tols["quad"],
-        )
+        states = fermionic.propagate_covariance(dd, sigma0, times, method=method)
         text = (io.fermionic_trajectory_csv(times, states) if fmt == "csv"
                 else io.fermionic_trajectory_json(times, states))
         _write_output(output, text)

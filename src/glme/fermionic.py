@@ -118,16 +118,11 @@ def build_drift_diffusion(model: GeneralizedLindbladModel,
 
 def propagate_covariance(dd: FermionicDriftDiffusion, sigma0, times,
                          method: str = "exact",
-                         hurwitz_tol: float = lyapunov.DEFAULT_HURWITZ_TOL,
-                         residual_tol: float = lyapunov.DEFAULT_RESIDUAL_TOL,
-                         ode_tol: float = lyapunov.DEFAULT_ODE_TOL,
                          rk4_substeps: int = 1) -> list[FermionicGaussianState]:
     """Propagate the Majorana covariance; output is antisymmetrized each step."""
     sigma0 = require_square(sigma0, "sigma0", dtype=float)
     sigmas = lyapunov.propagate(dd.x, dd.y, sigma0, times, antisymmetrize,
-                                method=method, hurwitz_tol=hurwitz_tol,
-                                residual_tol=residual_tol, ode_tol=ode_tol,
-                                rk4_substeps=rk4_substeps)
+                                method=method, rk4_substeps=rk4_substeps)
     return [FermionicGaussianState(sigma=s) for s in sigmas]
 
 

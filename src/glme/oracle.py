@@ -503,15 +503,6 @@ class DenseFermionicEngine(_DenseEngine):
         return sigma
 
 
-def dense_bosonic_engine(model: GeneralizedLindbladModel, fock_dim: int = 30,
-                         truncation_threshold: float = 1e-8) -> DenseBosonicEngine:
-    return DenseBosonicEngine(model, fock_dim, truncation_threshold)
-
-
-def dense_fermionic_engine(model: GeneralizedLindbladModel) -> DenseFermionicEngine:
-    return DenseFermionicEngine(model)
-
-
 def _density_basis(dim: int) -> list[np.ndarray]:
     """A spanning set of density matrices for linearity checks."""
     out = []

@@ -45,6 +45,22 @@ def collective_decay_model(gamma=0.5, omega=0.0):
     return make_bosonic_model(2, ham, f, gam)
 
 
+def near_dark_pair_model(eps):
+    """Collective decay of two modes whose antisymmetric mode decays at eps / 2.
+
+    F holds a1, a2, (q1 - q2)/sqrt(2) and (p1 - p2)/sqrt(2); Gamma is
+    [[1 + eps, 1], [1, 1 + eps]] plus 0.05 on each dephasing row, and H = 0.
+    """
+    f = np.zeros((4, 4), dtype=complex)
+    f[:2] = model.ladder_to_canonical(np.eye(4, dtype=complex), "bosonic")[:2]
+    f[2, 0], f[2, 2] = np.sqrt(0.5), -np.sqrt(0.5)
+    f[3, 1], f[3, 3] = np.sqrt(0.5), -np.sqrt(0.5)
+    gam = np.zeros((4, 4), dtype=complex)
+    gam[:2, :2] = [[1.0 + eps, 1.0], [1.0, 1.0 + eps]]
+    gam[2, 2] = gam[3, 3] = 0.05
+    return make_bosonic_model(2, np.zeros((4, 4)), f, gam)
+
+
 def random_hermitian_psd(rng, size, scale=1.0):
     b = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
     return scale * (b @ b.conj().T) / size

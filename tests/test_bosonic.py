@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import glme
-from glme import bosonic, lyapunov, model, oracle
+from glme import bosonic, model, oracle
 from glme.errors import (
     DomainError,
-    NumericalError,
     PositivityError,
     StabilityError,
     StructuralError,
@@ -14,6 +14,7 @@ from glme.errors import (
 from conftest import (
     collective_decay_model,
     damped_oscillator_model,
+    near_dark_pair_model,
     random_bosonic_model,
     random_physical_v,
     random_stable_bosonic,
@@ -165,11 +166,27 @@ class TestPropagateCovariance:
         with pytest.raises(StructuralError):
             bosonic.propagate_covariance(dd, np.eye(2), [0.0, 1.0, 0.5])
 
-    def test_quadrature_budget_error_carries_residual(self):
-        a = 1.3 * model.symplectic_form(1)
-        with pytest.raises(NumericalError) as err:
-            lyapunov.integral_term(a, 0.4 * np.eye(2), 3.0, panel_budget=0)
-        assert err.value.residual is not None
+    @pytest.mark.parametrize("eps", [1e-6, 1e-8])
+    def test_near_dark_pair_matches_rk4(self, eps):
+        dd = bosonic.build_drift_diffusion(near_dark_pair_model(eps))
+        times = np.linspace(0.0, 2.0, 1001)
+        exact = bosonic.propagate_covariance(dd, np.eye(4), times, method="exact")
+        rk4 = bosonic.propagate_covariance(dd, np.eye(4), times, method="rk4", rk4_substeps=4)
+        for a, b in zip(exact.states, rk4.states):
+            assert np.max(np.abs(a.v - b.v)) <= 1e-12 * np.max(np.abs(b.v))
+
+    @pytest.mark.parametrize("norm_dt", [50.0, 1000.0])
+    def test_large_norm_step_matches_closed_form(self, rng, norm_dt):
+        # one step far beyond ||A||_1 dt = 1 exercises the doubling of the base step
+        _, dd = random_stable_bosonic(rng, 2)
+        v0 = random_physical_v(rng, 2)
+        v_inf = bosonic.steady_state(dd).v
+        dt = norm_dt / np.max(np.sum(np.abs(dd.a), axis=0))
+        v = bosonic.propagate_covariance(dd, v0, [0.0, dt]).states[1].v
+        e = expm(dd.a * dt)
+        closed = e @ (v0 - v_inf) @ e.T + v_inf
+        assert np.all(np.isfinite(v))
+        assert np.max(np.abs(v - closed)) <= 1e-12 * np.max(np.abs(closed))
 
 
 class TestHurwitz:
@@ -221,24 +238,16 @@ class TestSteadyState:
         assert lhs <= np.exp(-5.0) * np.linalg.norm(v0 - v_ss) * 1.01
 
     def test_stable_form_matches_general_form(self, rng):
-        # e^{At}(V0 - Vss)e^{A^T t} + Vss against the stepwise integral path
+        # e^{At}(V0 - Vss)e^{A^T t} + Vss against the stepwise exact propagator
         _, dd = random_stable_bosonic(rng, 2)
         v0 = random_physical_v(rng, 2)
         times = np.linspace(0.0, 2.0, 5)
         v_ss = bosonic.steady_state(dd).v
-        from scipy.linalg import expm
-
-        stepwise = [v0]
-        v = v0
-        for i in range(1, times.size):
-            dt = times[i] - times[i - 1]
-            e = expm(dd.a * dt)
-            v = e @ v @ e.T + lyapunov.integral_term(dd.a, dd.d, dt)
-            stepwise.append(0.5 * (v + v.T))
-        for t, ref in zip(times, stepwise):
+        traj = bosonic.propagate_covariance(dd, v0, times, method="exact")
+        for t, state in zip(times, traj.states):
             e = expm(dd.a * t)
             closed = e @ (v0 - v_ss) @ e.T + v_ss
-            assert np.max(np.abs(closed - ref)) <= 1e-10
+            assert np.max(np.abs(closed - state.v)) <= 1e-10
 
     def test_non_hurwitz_rejected_with_abscissa(self):
         dd = bosonic.build_drift_diffusion(collective_decay_model())

@@ -13,6 +13,7 @@ from conftest import (
     collective_decay_model,
     damped_oscillator_model,
     fermionic_decay_model,
+    near_dark_pair_model,
     tmsv_cov,
 )
 
@@ -92,6 +93,15 @@ class TestEvolve:
         lines = open(out).read().strip().split("\n")
         final_sigma12 = float(lines[-1].split(",")[1])
         assert final_sigma12 == pytest.approx(1.0, abs=1e-6)
+
+    def test_near_dark_pair(self, runner, tmp_path):
+        path = str(tmp_path / "near_dark.json")
+        io.save_model(near_dark_pair_model(1e-8), path)
+        result = runner.invoke(main, [
+            "evolve", "--model", path, "--t-final", "2", "--steps", "1000",
+            "--output", str(tmp_path / "traj.csv"),
+        ])
+        assert result.exit_code == 0, result.output
 
     def test_zero_horizon_rejected(self, runner, damped_file):
         result = runner.invoke(main, [
@@ -299,5 +309,6 @@ class TestToleranceHandling:
         assert result.exit_code == 0
 
     def test_unknown_tolerance_rejected(self, runner, damped_file):
-        result = runner.invoke(main, ["validate", damped_file, "--tol", "bogus=1"])
-        assert result.exit_code == 2
+        for option in ("bogus=1", "quad=1e-9"):
+            result = runner.invoke(main, ["validate", damped_file, "--tol", option])
+            assert result.exit_code == 2
