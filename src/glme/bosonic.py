@@ -49,6 +49,14 @@ class GaussianState:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "v", v)
 
+    @classmethod
+    def _trusted(cls, mean: np.ndarray, v: np.ndarray) -> "GaussianState":
+        """Wrap float arrays already checked by their builder, skipping ``__post_init__``."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "mean", mean)
+        object.__setattr__(state, "v", v)
+        return state
+
     @property
     def n_modes(self) -> int:
         return self.v.shape[0] // 2
@@ -151,18 +159,24 @@ def propagate_covariance(dd: BosonicDriftDiffusion, v0, times,
     """Propagate the covariance (and optionally the mean) over a time grid.
 
     The first grid time carries the initial condition. Covariances are
-    symmetrized at every step.
+    symmetrized at every step, and the mean takes the same steps (see
+    ``lyapunov.propagate``). The first state is validated in full; the
+    later ones have its shape and exact symmetry by construction, so one
+    finiteness test over the whole trajectory completes their checks.
     """
     v0 = require_square(v0, "V0", dtype=float)
     times = lyapunov.validate_times(times)
-    vs = lyapunov.propagate(dd.a, dd.d, v0, times, symmetrize, method=method,
-                            rk4_substeps=rk4_substeps)
-    if mean0 is None:
-        means = [np.zeros(dd.a.shape[0])] * times.size
-    else:
+    if mean0 is not None:
         mean0 = require_vector(mean0, "mean0", length=dd.a.shape[0])
-        means = [expm(dd.a * (t - times[0])) @ mean0 for t in times]
-    states = [GaussianState(mean=m, v=v) for m, v in zip(means, vs)]
+    vs, means = lyapunov.propagate(dd.a, dd.d, v0, times, symmetrize, method=method,
+                                   rk4_substeps=rk4_substeps, y0=mean0)
+    require_finite(vs, "V")
+    if means is None:
+        means = [np.zeros(dd.a.shape[0])] * len(vs)
+    else:
+        require_finite(means, "mean")
+    states = [GaussianState(mean=means[0], v=vs[0])]
+    states += [GaussianState._trusted(m, v) for m, v in zip(means[1:], vs[1:])]
     return Trajectory(times=times, states=states)
 
 

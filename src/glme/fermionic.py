@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import schur
 
 from . import lyapunov
-from ._util import antisymmetrize, max_abs, require_square
+from ._util import antisymmetrize, max_abs, require_finite, require_square
 from .errors import (
     BoundaryError,
     PositivityError,
@@ -39,6 +39,13 @@ class FermionicGaussianState:
         if defect > 1e-10 * max(1.0, max_abs(sigma)):
             raise StructuralError(f"sigma must be antisymmetric (defect {defect:.3e})")
         object.__setattr__(self, "sigma", sigma)
+
+    @classmethod
+    def _trusted(cls, sigma: np.ndarray) -> "FermionicGaussianState":
+        """Wrap a float array already checked by its builder, skipping ``__post_init__``."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "sigma", sigma)
+        return state
 
     @property
     def n_modes(self) -> int:
@@ -119,11 +126,18 @@ def build_drift_diffusion(model: GeneralizedLindbladModel,
 def propagate_covariance(dd: FermionicDriftDiffusion, sigma0, times,
                          method: str = "exact",
                          rk4_substeps: int = 1) -> list[FermionicGaussianState]:
-    """Propagate the Majorana covariance; output is antisymmetrized each step."""
+    """Propagate the Majorana covariance; output is antisymmetrized each step.
+
+    The first state is validated in full; the later ones have its shape and
+    exact antisymmetry by construction, so one finiteness test over the
+    whole trajectory completes their checks.
+    """
     sigma0 = require_square(sigma0, "sigma0", dtype=float)
-    sigmas = lyapunov.propagate(dd.x, dd.y, sigma0, times, antisymmetrize,
-                                method=method, rk4_substeps=rk4_substeps)
-    return [FermionicGaussianState(sigma=s) for s in sigmas]
+    sigmas, _ = lyapunov.propagate(dd.x, dd.y, sigma0, times, antisymmetrize,
+                                   method=method, rk4_substeps=rk4_substeps)
+    require_finite(sigmas, "sigma")
+    return [FermionicGaussianState(sigma=sigmas[0])] + [
+        FermionicGaussianState._trusted(s) for s in sigmas[1:]]
 
 
 def is_hurwitz(dd: FermionicDriftDiffusion,
@@ -152,8 +166,8 @@ def steady_state(dd: FermionicDriftDiffusion,
 def check_physicality(sigma, tol: float = 1e-9) -> tuple[bool, float]:
     """Positivity test: all eigenvalue magnitudes of sigma must be <= 1."""
     sigma = _as_antisymmetric(sigma)
-    eigs = np.linalg.eigvals(sigma)
-    max_lambda = float(np.max(np.abs(eigs.imag))) if eigs.size else 0.0
+    # i sigma is Hermitian with real eigenvalues +-lambda_j
+    max_lambda = max_abs(np.linalg.eigvalsh(1j * sigma))
     return max_lambda <= 1.0 + tol, max_lambda
 
 

@@ -4,6 +4,13 @@ Model files, state files, coupling tables, and spectral data are JSON;
 trajectories are CSV or JSON. All floats are rendered with 17 significant
 digits and a lowercase exponent so identical inputs produce byte-identical
 output.
+
+A float rendered on its own goes through ``format_float``. A float array
+(a JSON value, or the stacked rows of a CSV trajectory) is rendered with one
+``%`` operation: a template repeating ``"%.17g"`` in the array's layout is
+applied to all its numbers at once. ``"%.17g" % x`` and
+``format(x, ".17g")`` give the same text for every double, including
+``-0``, subnormals, ``inf`` and ``nan``, so both paths write the same bytes.
 """
 
 from __future__ import annotations
@@ -49,6 +56,8 @@ def _render(obj, out: list[str]):
                 out.append(", ")
             _render(value, out)
         out.append("]")
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
+        out.append(_template(obj.shape) % tuple(obj.ravel().tolist()))
     elif isinstance(obj, np.ndarray):
         _render(obj.tolist(), out)
     elif isinstance(obj, bool) or obj is None:
@@ -61,6 +70,21 @@ def _render(obj, out: list[str]):
         out.append(json.dumps(obj))
     else:
         raise StructuralError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def _template(shape: tuple[int, ...]) -> str:
+    """``%`` template rendering a float array of ``shape`` as nested JSON lists."""
+    if not shape:
+        return "%.17g"
+    return "[" + ", ".join([_template(shape[1:])] * shape[0]) + "]"
+
+
+def _csv(header: list[str], rows: np.ndarray) -> str:
+    """Header line plus one line per row of a 2-D float array."""
+    row_template = ",".join(["%.17g"] * rows.shape[1])
+    lines = [",".join(header)]
+    lines += [row_template % tuple(row) for row in rows.tolist()]
+    return "\n".join(lines) + "\n"
 
 
 def atomic_write(path: str, text: str):
@@ -189,29 +213,29 @@ def save_state(state, path: str):
 
 def bosonic_trajectory_csv(trajectory: Trajectory) -> str:
     """CSV rows t, mean_1..mean_2N, V_11..V_2N2N (row-major full matrix)."""
-    n2 = trajectory.states[0].v.shape[0]
+    states = trajectory.states
+    n2 = states[0].v.shape[0]
     header = ["t"]
     header += [f"mean_{j + 1}" for j in range(n2)]
     header += [f"V_{j + 1}{k + 1}" for j in range(n2) for k in range(n2)]
-    lines = [",".join(header)]
-    for t, state in zip(trajectory.times, trajectory.states):
-        row = [format_float(t)]
-        row += [format_float(x) for x in state.mean]
-        row += [format_float(x) for x in state.v.reshape(-1)]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    rows = np.empty((len(states), 1 + n2 + n2 * n2))
+    rows[:, 0] = trajectory.times
+    rows[:, 1:1 + n2] = [s.mean for s in states]
+    rows[:, 1 + n2:] = np.reshape([s.v for s in states], (len(states), -1))
+    return _csv(header, rows)
 
 
 def fermionic_trajectory_csv(times, states) -> str:
     """CSV rows t, sigma_12, sigma_13, ... (strict upper triangle, row-major)."""
+    if len(times) != len(states):
+        raise StructuralError("times and states must have equal length")
     n2 = states[0].sigma.shape[0]
-    pairs = [(j, k) for j in range(n2) for k in range(j + 1, n2)]
-    header = ["t"] + [f"sigma_{j + 1}{k + 1}" for j, k in pairs]
-    lines = [",".join(header)]
-    for t, state in zip(times, states):
-        row = [format_float(t)] + [format_float(state.sigma[j, k]) for j, k in pairs]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    upper = np.triu_indices(n2, 1)
+    header = ["t"] + [f"sigma_{j + 1}{k + 1}" for j, k in zip(*upper)]
+    rows = np.empty((len(states), 1 + upper[0].size))
+    rows[:, 0] = times
+    rows[:, 1:] = np.array([s.sigma for s in states])[:, upper[0], upper[1]]
+    return _csv(header, rows)
 
 
 def bosonic_trajectory_json(trajectory: Trajectory) -> str:

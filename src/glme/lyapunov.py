@@ -71,7 +71,8 @@ def validate_times(times) -> np.ndarray:
 def propagate(a: np.ndarray, q: np.ndarray, x0: np.ndarray, times,
               structure: Callable[[np.ndarray], np.ndarray],
               method: str = "exact",
-              rk4_substeps: int = 1) -> list[np.ndarray]:
+              rk4_substeps: int = 1,
+              y0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """Propagate dX/dt = a X + X aT + q through the given time grid.
 
     The first grid point carries the initial condition. "exact" steps the
@@ -80,14 +81,27 @@ def propagate(a: np.ndarray, q: np.ndarray, x0: np.ndarray, times,
     alike (see ``_flow``). "rk4" integrates the ODE on the grid with
     ``rk4_substeps`` internal steps per interval. Every output passes through
     ``structure`` to reimpose the exact matrix symmetry.
+
+    Returns the stacked X of shape (T, n, n) and, when ``y0`` is given, the
+    stacked solution of dy/dt = a y of shape (T, n), else None. The vector
+    takes the same steps as X: y <- E y with the same E, or the same rk4
+    substeps.
     """
     times = validate_times(times)
     x0 = structure(np.asarray(x0, dtype=float))
+    xs = np.empty((times.size,) + x0.shape)
+    xs[0] = x0
+    ys = None
+    if y0 is not None:
+        ys = np.empty((times.size, len(y0)))
+        ys[0] = y0
     if method == "exact":
-        return _propagate_exact(a, q, x0, times, structure)
-    if method == "rk4":
-        return _propagate_rk4(a, q, x0, times, structure, rk4_substeps)
-    raise StructuralError(f"unknown propagation method {method!r}")
+        _propagate_exact(a, q, xs, ys, times, structure)
+    elif method == "rk4":
+        _propagate_rk4(a, q, xs, ys, times, structure, rk4_substeps)
+    else:
+        raise StructuralError(f"unknown propagation method {method!r}")
+    return xs, ys
 
 
 def _flow(block: np.ndarray, a_norm: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -112,7 +126,8 @@ def _flow(block: np.ndarray, a_norm: float, dt: float) -> tuple[np.ndarray, np.n
     return e, m
 
 
-def _propagate_exact(a, q, x0, times, structure) -> list[np.ndarray]:
+def _propagate_exact(a, q, xs, ys, times, structure):
+    """Fill xs[1:] (and ys[1:]) in place with the cached flow of each distinct step."""
     n = a.shape[0]
     block = np.zeros((2 * n, 2 * n))
     block[:n, :n] = -a
@@ -120,33 +135,38 @@ def _propagate_exact(a, q, x0, times, structure) -> list[np.ndarray]:
     block[n:, n:] = a.T
     a_norm = float(np.abs(a).sum(axis=0).max())
     flows = {}
-    out = [x0]
-    x = x0
-    for dt in np.diff(times).tolist():
+    for i, dt in enumerate(np.diff(times).tolist(), start=1):
         if dt not in flows:
             flows[dt] = _flow(block, a_norm, dt)
         e, m = flows[dt]
-        x = structure(e @ x @ e.T + m)
-        out.append(x)
-    return out
+        xs[i] = structure(e @ xs[i - 1] @ e.T + m)
+        if ys is not None:
+            ys[i] = e @ ys[i - 1]
 
 
-def _propagate_rk4(a, q, x0, times, structure, substeps) -> list[np.ndarray]:
+def _rk4_step(f, x, h):
+    k1 = f(x)
+    k2 = f(x + 0.5 * h * k1)
+    k3 = f(x + 0.5 * h * k2)
+    k4 = f(x + h * k3)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _propagate_rk4(a, q, xs, ys, times, structure, substeps):
+    """Fill xs[1:] (and ys[1:]) in place with ``substeps`` rk4 steps per interval."""
     if substeps < 1:
         raise StructuralError("rk4_substeps must be at least 1")
 
     def rhs(x):
         return a @ x + x @ a.T + q
 
-    out = [x0]
-    x = x0
+    x, y = xs[0], None if ys is None else ys[0]
     for i in range(1, times.size):
         h = (times[i] - times[i - 1]) / substeps
         for _ in range(substeps):
-            k1 = rhs(x)
-            k2 = rhs(x + 0.5 * h * k1)
-            k3 = rhs(x + 0.5 * h * k2)
-            k4 = rhs(x + h * k3)
-            x = structure(x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        out.append(x)
-    return out
+            x = structure(_rk4_step(rhs, x, h))
+            if y is not None:
+                y = _rk4_step(a.__matmul__, y, h)
+        xs[i] = x
+        if y is not None:
+            ys[i] = y

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 import glme
-from glme import bosonic, model, oracle
+from glme import bosonic, lyapunov, model, oracle
 from glme.errors import (
     DomainError,
     PositivityError,
@@ -160,6 +160,30 @@ class TestPropagateCovariance:
         np.testing.assert_allclose(
             traj.states[1].mean, bosonic.evolve_mean(dd, [1.0, 0.0], 1.0), atol=1e-14
         )
+
+    def test_mean_matches_evolve_mean_on_nonuniform_grid(self, rng):
+        n = 40
+        a = rng.standard_normal((n, n)) / np.sqrt(n)
+        a -= (lyapunov.spectral_abscissa(a) + 0.2) * np.eye(n)
+        dd = bosonic.BosonicDriftDiffusion(a=a, d=np.eye(n))
+        times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.005, 0.05, size=200))])
+        mean0 = rng.standard_normal(n)
+        exact = bosonic.propagate_covariance(dd, np.eye(n), times, mean0=mean0)
+        rk4 = bosonic.propagate_covariance(dd, np.eye(n), times, method="rk4", mean0=mean0,
+                                           rk4_substeps=4)
+        for t, a_state, b_state in zip(times, exact.states, rk4.states):
+            expected = bosonic.evolve_mean(dd, mean0, t)
+            scale = np.max(np.abs(expected))
+            assert np.max(np.abs(a_state.mean - expected)) <= 1e-12 * scale
+            assert np.max(np.abs(b_state.mean - expected)) <= 1e-8 * scale
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("rate, mean0", [(50.0, None), (50.0, [1.0, 1.0]), (1.0, [1e305, 0.0])])
+    def test_overflowing_trajectory_rejected(self, rate, mean0):
+        # a covariance (or a mean) that overflows past the first state
+        dd = bosonic.BosonicDriftDiffusion(a=rate * np.eye(2), d=np.eye(2))
+        with pytest.raises(StructuralError, match="non-finite"):
+            bosonic.propagate_covariance(dd, np.eye(2), [0.0, 5.0, 10.0], mean0=mean0)
 
     def test_decreasing_times_rejected(self):
         dd = bosonic.build_drift_diffusion(damped_oscillator_model())

@@ -110,6 +110,12 @@ class TestPropagation:
                 ok, max_lam = fermionic.check_physicality(state.sigma)
                 assert max_lam <= 1.0 + 1e-8
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_trajectory_rejected(self):
+        dd = fermionic.FermionicDriftDiffusion(x=50.0 * np.eye(2), y=np.zeros((2, 2)))
+        with pytest.raises(StructuralError, match="non-finite"):
+            fermionic.propagate_covariance(dd, 0.5 * J, [0.0, 5.0, 10.0])
+
     def test_spectral_pairing(self, rng):
         sigma = random_physical_sigma(rng, 4)
         eigs = np.linalg.eigvals(sigma)
@@ -155,6 +161,14 @@ class TestPhysicalityAndPurity:
         ok, max_lam = fermionic.check_physicality(1.5 * J)
         assert not ok
         assert max_lam == pytest.approx(1.5, abs=1e-14)
+
+    def test_physicality_matches_general_eigenvalues(self, rng):
+        for n_modes in (1, 3, 20):
+            for scale in (0.5, 1.0, 1.7):
+                sigma = scale * random_physical_sigma(rng, n_modes)
+                _, max_lam = fermionic.check_physicality(sigma)
+                reference = np.max(np.abs(np.linalg.eigvals(sigma).imag))
+                assert abs(max_lam - reference) <= 1e-13 * max(1.0, reference)
 
     def test_purity_values(self):
         assert fermionic.purity(J) == pytest.approx(1.0)

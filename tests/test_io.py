@@ -1,8 +1,13 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glme import bosonic, fermionic, io
-from glme.errors import ParseError
+from glme.errors import ParseError, StructuralError
 
 from conftest import damped_oscillator_model, random_bosonic_model, random_fermionic_model
 
@@ -17,6 +22,40 @@ class TestDeterministicJson:
     def test_byte_determinism(self):
         payload = {"v": np.linspace(0, 1, 7), "n": 3, "flag": False}
         assert io.dumps(payload) == io.dumps(payload)
+
+    @pytest.mark.parametrize("arr, text", [
+        (np.array(1.5), "1.5"),
+        (np.array(-0.0), "-0"),
+        (np.array([]), "[]"),
+        (np.zeros((2, 0)), "[[], []]"),
+        (np.zeros((0, 3)), "[]"),
+        (np.array([0.1, 1.0], dtype=np.float32), "[0.10000000149011612, 1]"),
+        (np.array([[1, -2], [3, 4]]), "[[1, -2], [3, 4]]"),
+        (np.array([True, False]), "[true, false]"),
+        (np.array([[1.0, 5e-324], [1e16, -2.5e120]]),
+         "[[1, 4.9406564584124654e-324], [10000000000000000, -2.5000000000000001e+120]]"),
+    ])
+    def test_array_rendering(self, arr, text):
+        assert io.dumps(arr) == text
+        assert io.dumps({"x": [arr]}) == '{"x": [' + text + "]}"
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 4), (2, 3, 2), (1, 1, 1, 1)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_array_rendering_matches_per_number_reference(self, rng, shape, dtype):
+        span = np.finfo(dtype).maxexp * 0.29    # decimal exponents that stay finite
+        arr = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-span, span, size=shape)).astype(dtype)
+        arr.flat[0] = -0.0
+        assert io.dumps(arr) == _reference_render(arr.tolist())
+
+    def test_complex_array_rejected(self):
+        with pytest.raises(StructuralError, match="complex"):
+            io.dumps({"z": np.array([1.0 + 2.0j])})
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats() | st.sampled_from([math.inf, -math.inf, math.nan, -0.0]))
+    def test_percent_format_matches_format_float(self, x):
+        assert "%.17g" % x == format(x, ".17g") == io.format_float(x)
+        assert io.dumps(np.array([x])) == "[" + io.format_float(x) + "]"
 
 
 class TestModelFiles:
@@ -96,7 +135,57 @@ class TestStateFiles:
             io.load_state(str(path))
 
 
+def _reference_render(value) -> str:
+    """Per-number JSON rendering of a nested list, the bytes io.dumps must produce."""
+    if isinstance(value, list):
+        return "[" + ", ".join(_reference_render(v) for v in value) + "]"
+    return io.format_float(value)
+
+
+# Edge values: signed zero, the smallest subnormal, tiny, integer-valued and
+# huge floats, and ones that need all 17 significant digits.
+_EDGE_VALUES = np.array([-0.0, 5e-324, 1e-300, 1e16, -2.5e120, 1.0, 0.1, -3.0, 2.0 / 3.0, 123456789.0])
+
+# sha256 of each trajectory writer's output in _pinned_outputs(); the
+# writers' bytes must never change.
+_PINNED_SHA256 = {
+    "bosonic_csv": "b254dd5bfbe6e5d702649e9a3bfae465dc93a371526f6aa6f1083765c33a0e46",
+    "bosonic_json": "a730ee91ecb663c91ace5b42374cb51cd849f6f37fca3f510c82bab1a2eb87e4",
+    "fermionic_csv": "193735ba518aea5936844e8b0167c05f7f26932f8d8d84a378daa161b752eea3",
+    "fermionic_json": "ab4b04ed8b24f1434dd7fa1b7cd946763b44a6d79d2be451b6e2c6a9c99604c8",
+}
+
+
+def _pinned_outputs() -> dict[str, str]:
+    """The four writers on fixed two-mode trajectories built from _EDGE_VALUES."""
+    times = np.array([0.0, 0.1, 1.0, 2.5])
+    upper, strict = np.triu_indices(4), np.triu_indices(4, 1)
+    bosonic_states, fermionic_states = [], []
+    for k in range(times.size):
+        vals = np.roll(_EDGE_VALUES, k)
+        v = np.zeros((4, 4))
+        v[upper] = vals
+        v[upper[1], upper[0]] = vals
+        sigma = np.zeros((4, 4))
+        sigma[strict] = vals[:6]
+        sigma[strict[1], strict[0]] = -vals[:6]
+        bosonic_states.append(bosonic.GaussianState(mean=vals[:4], v=v))
+        fermionic_states.append(fermionic.FermionicGaussianState(sigma))
+    traj = bosonic.Trajectory(times=times, states=bosonic_states)
+    return {
+        "bosonic_csv": io.bosonic_trajectory_csv(traj),
+        "bosonic_json": io.bosonic_trajectory_json(traj),
+        "fermionic_csv": io.fermionic_trajectory_csv(times, fermionic_states),
+        "fermionic_json": io.fermionic_trajectory_json(times, fermionic_states),
+    }
+
+
 class TestTrajectorySerialization:
+    @pytest.mark.parametrize("writer", sorted(_PINNED_SHA256))
+    def test_writer_bytes_pinned(self, writer):
+        text = _pinned_outputs()[writer]
+        assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_SHA256[writer]
+
     def test_bosonic_csv_layout(self):
         dd = bosonic.build_drift_diffusion(damped_oscillator_model())
         traj = bosonic.propagate_covariance(dd, np.eye(2), np.linspace(0, 1, 3))
@@ -125,6 +214,11 @@ class TestTrajectorySerialization:
         text = io.fermionic_trajectory_csv([0.0], states)
         header = text.split("\n")[0]
         assert header == "t,sigma_12,sigma_13,sigma_14,sigma_23,sigma_24,sigma_34"
+
+    def test_fermionic_csv_length_mismatch_rejected(self):
+        states = [fermionic.FermionicGaussianState(np.zeros((2, 2)))] * 2
+        with pytest.raises(StructuralError, match="equal length"):
+            io.fermionic_trajectory_csv([0.0, 1.0, 2.0], states)
 
     def test_json_trajectory(self):
         dd = bosonic.build_drift_diffusion(damped_oscillator_model())
