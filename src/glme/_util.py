@@ -34,6 +34,14 @@ def require_square(m, name: str, dtype=complex) -> np.ndarray:
     return require_finite(arr, name)
 
 
+def require_squares(m, name: str) -> np.ndarray:
+    """A square float matrix, or a stack of them along a leading axis."""
+    arr = np.asarray(m, dtype=float)
+    if arr.ndim not in (2, 3) or arr.shape[-1] != arr.shape[-2]:
+        raise StructuralError(f"{name} must be square or a stack of squares, got shape {arr.shape}")
+    return require_finite(arr, name)
+
+
 def require_matrix(m, name: str, shape: tuple[int, int] | None = None, dtype=complex) -> np.ndarray:
     arr = np.asarray(m, dtype=dtype)
     if arr.ndim != 2:

@@ -8,6 +8,7 @@ purity of a Gaussian state is 1/sqrt(det V).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm
@@ -18,16 +19,17 @@ from ._util import (
     require_finite,
     require_matrix,
     require_square,
+    require_squares,
     require_vector,
     symmetrize,
 )
-from .errors import DomainError, NumericalError, PositivityError, StabilityError, StructuralError
+from .errors import DomainError, NumericalError, PositivityError, StructuralError
 from .model import (
     BOSONIC,
     DEFAULT_TOL,
     GeneralizedLindbladModel,
+    require_valid,
     symplectic_form,
-    validate_model,
 )
 
 
@@ -92,14 +94,44 @@ class BosonicDriftDiffusion:
 
 @dataclass(frozen=True)
 class Trajectory:
+    """Moments of either flavor on a time grid, as stacked arrays.
+
+    ``covs`` is (T, 2N, 2N), with the exact symmetry ``lyapunov.propagate``
+    gives it; ``means`` is (T, 2N) for bosons and None for fermions. It reads
+    as a sequence of per-time states, built once on first use.
+    """
+
     times: np.ndarray
-    states: list[GaussianState] = field(repr=False)
+    covs: np.ndarray = field(repr=False)
+    means: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         times = lyapunov.validate_times(self.times)
-        if len(self.states) != times.size:
+        covs = np.asarray(self.covs, dtype=float)
+        if covs.ndim != 3 or covs.shape[1] != covs.shape[2] or covs.shape[1] % 2 or not covs.shape[1]:
+            raise StructuralError(f"covs must have shape (T, 2N, 2N), got {covs.shape}")
+        if covs.shape[0] != times.size:
             raise StructuralError("times and states must have equal length")
         object.__setattr__(self, "times", times)
+        object.__setattr__(self, "covs", require_finite(covs, "covariance"))
+        if self.means is not None:
+            means = np.asarray(self.means, dtype=float)
+            if means.shape != covs.shape[:2]:
+                raise StructuralError(f"means must have shape {covs.shape[:2]}, got {means.shape}")
+            object.__setattr__(self, "means", require_finite(means, "mean"))
+
+    @cached_property
+    def states(self) -> list:
+        if self.means is None:
+            from .fermionic import FermionicGaussianState  # fermionic imports this module
+            return [FermionicGaussianState._trusted(sigma) for sigma in self.covs]
+        return [GaussianState._trusted(m, v) for m, v in zip(self.means, self.covs)]
+
+    def __len__(self) -> int:
+        return self.times.size
+
+    def __getitem__(self, index):
+        return self.states[index]
 
 
 def build_drift_diffusion(model: GeneralizedLindbladModel,
@@ -114,9 +146,7 @@ def build_drift_diffusion(model: GeneralizedLindbladModel,
     """
     if model.flavor != BOSONIC:
         raise StructuralError(f"expected a bosonic model, got {model.flavor!r}")
-    report = validate_model(model, tol)
-    if not report.is_valid:
-        _raise_invalid(model, report, tol)
+    require_valid(model, tol)
     omega = symplectic_form(model.n_modes)
     s = model.f.conj().T @ model.gamma.T @ model.f
     a = omega @ (model.hamiltonian + s.imag)
@@ -125,25 +155,6 @@ def build_drift_diffusion(model: GeneralizedLindbladModel,
     if d_min < -1e-10 * max(1.0, max_abs(d)):
         raise PositivityError(f"diffusion matrix has negative eigenvalue {d_min:.3e}")
     return BosonicDriftDiffusion._trusted(require_finite(a, "A"), require_finite(d, "D"))
-
-
-def _raise_invalid(model: GeneralizedLindbladModel, report, tol: float):
-    """Raise the error for the first invariant an invalid model breaks."""
-    gamma_scale = max(1.0, max_abs(model.gamma))
-    if report.hermitian_defect > tol * gamma_scale:
-        raise PositivityError(
-            f"decoherence matrix is not Hermitian (defect {report.hermitian_defect:.3e}); "
-            "split it with model.split_non_hermitian and fold the anti-Hermitian "
-            "part into the Hamiltonian before building dynamics"
-        )
-    if report.min_gamma_eigenvalue < -tol * gamma_scale:
-        raise PositivityError(
-            f"decoherence matrix has negative eigenvalue {report.min_gamma_eigenvalue:.3e}"
-        )
-    raise StructuralError(
-        f"bosonic hamiltonian matrix must be symmetric "
-        f"(defect {report.hamiltonian_symmetry_defect:.3e})"
-    )
 
 
 def evolve_mean(dd: BosonicDriftDiffusion, mean0, t: float) -> np.ndarray:
@@ -160,24 +171,16 @@ def propagate_covariance(dd: BosonicDriftDiffusion, v0, times,
 
     The first grid time carries the initial condition. Covariances are
     symmetrized at every step, and the mean takes the same steps (see
-    ``lyapunov.propagate``). The first state is validated in full; the
-    later ones have its shape and exact symmetry by construction, so one
-    finiteness test over the whole trajectory completes their checks.
+    ``lyapunov.propagate``); without ``mean0`` the means are zero.
     """
     v0 = require_square(v0, "V0", dtype=float)
-    times = lyapunov.validate_times(times)
     if mean0 is not None:
         mean0 = require_vector(mean0, "mean0", length=dd.a.shape[0])
     vs, means = lyapunov.propagate(dd.a, dd.d, v0, times, symmetrize, method=method,
                                    rk4_substeps=rk4_substeps, y0=mean0)
-    require_finite(vs, "V")
     if means is None:
-        means = [np.zeros(dd.a.shape[0])] * len(vs)
-    else:
-        require_finite(means, "mean")
-    states = [GaussianState(mean=means[0], v=vs[0])]
-    states += [GaussianState._trusted(m, v) for m, v in zip(means[1:], vs[1:])]
-    return Trajectory(times=times, states=states)
+        means = np.zeros(vs.shape[:2])
+    return Trajectory(times, vs, means)
 
 
 def is_hurwitz(dd: BosonicDriftDiffusion,
@@ -190,22 +193,20 @@ def steady_state(dd: BosonicDriftDiffusion,
                  hurwitz_tol: float = lyapunov.DEFAULT_HURWITZ_TOL,
                  residual_tol: float = lyapunov.DEFAULT_RESIDUAL_TOL) -> GaussianState:
     """Unique fixed point of the moment dynamics for a Hurwitz drift."""
-    stable, abscissa = is_hurwitz(dd, hurwitz_tol)
-    if not stable:
-        raise StabilityError(
-            f"drift matrix is not Hurwitz (spectral abscissa {abscissa:.3e})",
-            spectral_abscissa=abscissa,
-        )
-    v = symmetrize(lyapunov.solve_fixed_point(dd.a, dd.d, residual_tol))
+    v = lyapunov.steady_state(dd.a, dd.d, symmetrize, hurwitz_tol, residual_tol)
     return GaussianState(mean=np.zeros(dd.a.shape[0]), v=v)
 
 
 def check_physicality(v, tol: float = 1e-9) -> tuple[bool, float]:
-    """Uncertainty-relation test: V + i Omega must be positive semidefinite."""
-    v = require_square(v, "V", dtype=float)
-    if v.shape[0] % 2 != 0:
+    """Uncertainty-relation test: V + i Omega must be positive semidefinite.
+
+    ``v`` is one covariance or a (T, 2N, 2N) stack, tested with one
+    ``eigvalsh``; the smallest eigenvalue over the stack is returned.
+    """
+    v = require_squares(v, "V")
+    if v.shape[-1] % 2 != 0:
         raise StructuralError("V must be 2N x 2N")
-    omega = symplectic_form(v.shape[0] // 2)
+    omega = symplectic_form(v.shape[-1] // 2)
     min_eig = float(np.min(np.linalg.eigvalsh(v + 1j * omega)))
     return min_eig >= -tol, min_eig
 

@@ -32,8 +32,6 @@ _TOL_NAMES = {
     "validate": 1e-10,
     "hurwitz": lyapunov.DEFAULT_HURWITZ_TOL,
     "residual": lyapunov.DEFAULT_RESIDUAL_TOL,
-    "physicality": 1e-9,
-    "boundary": 1e-9,
     "oracle": 1e-8,
     "freq": -1.0,  # negative means: derive from the coupling table
 }
@@ -58,7 +56,7 @@ def _tolerances(tol_options: tuple[str, ...]) -> dict[str, float]:
             base = float(env)
         except ValueError:
             raise ParseError(f"GLME_DEFAULT_TOL must be a float, got {env!r}")
-        for name in ("validate", "hurwitz", "residual", "physicality", "boundary"):
+        for name in ("validate", "hurwitz", "residual"):
             tols[name] = base
     for item in tol_options:
         if "=" not in item:
@@ -71,6 +69,15 @@ def _tolerances(tol_options: tuple[str, ...]) -> dict[str, float]:
         except ValueError:
             raise click.UsageError(f"tolerance {name!r} needs a float value, got {value!r}")
     return tols
+
+
+_MODULES = {BOSONIC: bosonic, FERMIONIC: fermionic}
+
+
+def _dynamics(model, tols: dict[str, float]):
+    """The model's flavor module and its validated drift/diffusion record."""
+    module = _MODULES[model.flavor]
+    return module, module.build_drift_diffusion(model, tols["validate"])
 
 
 def _fail(code_name: str, exit_code: int, detail: str):
@@ -165,39 +172,24 @@ def evolve(model_path, t_final, steps, method, times_path, state_path, output, f
     model = io.load_model(model_path)
     times = _time_grid(t_final, steps, times_path)
     initial = io.load_state(state_path) if state_path else None
-
-    if model.flavor == BOSONIC:
-        dd = bosonic.build_drift_diffusion(model, tols["validate"])
-        if initial is None:
-            v0 = np.eye(2 * model.n_modes)
-            mean0 = None
-        elif isinstance(initial, bosonic.GaussianState):
-            v0, mean0 = initial.v, initial.mean
-        else:
-            raise StructuralError("initial state flavor does not match the model")
-        trajectory = bosonic.propagate_covariance(dd, v0, times, method=method, mean0=mean0)
-        text = (io.bosonic_trajectory_csv(trajectory) if fmt == "csv"
-                else io.bosonic_trajectory_json(trajectory))
-        _write_output(output, text)
-        final = trajectory.states[-1]
-        margin = min(bosonic.check_physicality(s.v, tols["physicality"])[1]
-                     for s in trajectory.states)
-        _emit({"final_purity": bosonic.purity(final.v), "physicality_margin": margin})
+    module, dd = _dynamics(model, tols)
+    boson = model.flavor == BOSONIC
+    if initial is None:
+        n2 = 2 * model.n_modes
+        x0, extra = (np.eye(n2) if boson else np.zeros((n2, n2))), {}
+    elif boson and isinstance(initial, bosonic.GaussianState):
+        x0, extra = initial.v, {"mean0": initial.mean}
+    elif not boson and isinstance(initial, fermionic.FermionicGaussianState):
+        x0, extra = initial.sigma, {}
     else:
-        dd = fermionic.build_drift_diffusion(model, tols["validate"])
-        if initial is None:
-            sigma0 = np.zeros((2 * model.n_modes, 2 * model.n_modes))
-        elif isinstance(initial, fermionic.FermionicGaussianState):
-            sigma0 = initial.sigma
-        else:
-            raise StructuralError("initial state flavor does not match the model")
-        states = fermionic.propagate_covariance(dd, sigma0, times, method=method)
-        text = (io.fermionic_trajectory_csv(times, states) if fmt == "csv"
-                else io.fermionic_trajectory_json(times, states))
-        _write_output(output, text)
-        margin = min(1.0 - fermionic.check_physicality(s.sigma, tols["physicality"])[1]
-                     for s in states)
-        _emit({"final_purity": fermionic.purity(states[-1].sigma), "physicality_margin": margin})
+        raise StructuralError("initial state flavor does not match the model")
+    trajectory = module.propagate_covariance(dd, x0, times, method=method, **extra)
+    writer = getattr(io, f"{model.flavor}_trajectory_{fmt}")
+    _write_output(output, writer(trajectory) if boson else writer(trajectory.times, trajectory))
+    # physical when V + i Omega >= 0 (bosons) or every |lambda| <= 1 (fermions)
+    margin = module.check_physicality(trajectory.covs)[1]
+    _emit({"final_purity": module.purity(trajectory.covs[-1]),
+           "physicality_margin": margin if boson else 1.0 - margin})
 
 
 @main.command("steady-state")
@@ -208,18 +200,15 @@ def steady_state_cmd(model_path, tol_options):
     """Solve for the steady state and report the residual."""
     tols = _tolerances(tol_options)
     model = io.load_model(model_path)
+    module, dd = _dynamics(model, tols)
+    _, abscissa = module.is_hurwitz(dd, tols["hurwitz"])
+    state = module.steady_state(dd, tols["hurwitz"], tols["residual"])
     if model.flavor == BOSONIC:
-        dd = bosonic.build_drift_diffusion(model, tols["validate"])
-        _, abscissa = bosonic.is_hurwitz(dd, tols["hurwitz"])
-        state = bosonic.steady_state(dd, tols["hurwitz"], tols["residual"])
-        residual = float(np.max(np.abs(dd.a @ state.v + state.v @ dd.a.T + dd.d)))
-        _emit({"V_ss": state.v, "residual": residual, "spectral_abscissa": abscissa})
+        key, x, a, q = "V_ss", state.v, dd.a, dd.d
     else:
-        dd = fermionic.build_drift_diffusion(model, tols["validate"])
-        _, abscissa = fermionic.is_hurwitz(dd, tols["hurwitz"])
-        state = fermionic.steady_state(dd, tols["hurwitz"], tols["residual"])
-        residual = float(np.max(np.abs(dd.x @ state.sigma + state.sigma @ dd.x.T + dd.y)))
-        _emit({"sigma_ss": state.sigma, "residual": residual, "spectral_abscissa": abscissa})
+        key, x, a, q = "sigma_ss", state.sigma, dd.x, dd.y
+    residual = float(np.max(np.abs(a @ x + x @ a.T + q)))
+    _emit({key: x, "residual": residual, "spectral_abscissa": abscissa})
 
 
 @main.command()
@@ -241,45 +230,26 @@ def entanglement_cmd(model_path, state_path, measure, alpha, beta, strict_paper,
         model = io.load_model(model_path)
         if model.n_modes != 2:
             raise DomainError(f"entanglement measures need two modes, got {model.n_modes}")
-        if model.flavor == BOSONIC:
-            dd = bosonic.build_drift_diffusion(model, tols["validate"])
-            state = bosonic.steady_state(dd, tols["hurwitz"], tols["residual"])
-        else:
-            dd = fermionic.build_drift_diffusion(model, tols["validate"])
-            state = fermionic.steady_state(dd, tols["hurwitz"], tols["residual"])
+        module, dd = _dynamics(model, tols)
+        state = module.steady_state(dd, tols["hurwitz"], tols["residual"])
     else:
         state = io.load_state(state_path)
+    if state.n_modes != 2:
+        raise DomainError(f"entanglement measures need two modes, got {state.n_modes}")
 
-    if isinstance(state, bosonic.GaussianState):
-        if state.n_modes != 2:
-            raise DomainError(f"entanglement measures need two modes, got {state.n_modes}")
-        if measure == "duan":
-            result = entanglement.duan_bosonic(
-                state,
-                alpha=1.0 if alpha is None else alpha,
-                beta=-1.0 if beta is None else beta,
-            )
-            _emit({"measure": "duan", "value": result.quantity, "bound": result.bound,
-                   "entangled": result.entangled_flag})
-        else:
-            result = entanglement.log_negativity_bosonic(state.v, strict_paper=strict_paper)
-            _emit({"measure": "logneg", "value": result.value,
-                   "spectrum": result.auxiliary_spectrum})
+    boson = isinstance(state, bosonic.GaussianState)
+    if measure == "duan":
+        duan = entanglement.duan_bosonic if boson else entanglement.duan_fermionic
+        default_beta = -1.0 if boson else 1.0
+        result = duan(state, alpha=1.0 if alpha is None else alpha,
+                      beta=default_beta if beta is None else beta)
+        _emit({"measure": "duan", "value": result.quantity, "bound": result.bound,
+               "entangled": result.entangled_flag})
     else:
-        if state.n_modes != 2:
-            raise DomainError(f"entanglement measures need two modes, got {state.n_modes}")
-        if measure == "duan":
-            result = entanglement.duan_fermionic(
-                state.sigma,
-                alpha=1.0 if alpha is None else alpha,
-                beta=1.0 if beta is None else beta,
-            )
-            _emit({"measure": "duan", "value": result.quantity, "bound": result.bound,
-                   "entangled": result.entangled_flag})
-        else:
-            result = entanglement.log_negativity_fermionic(state.sigma)
-            _emit({"measure": "logneg", "value": result.value,
-                   "spectrum": result.auxiliary_spectrum})
+        result = (entanglement.log_negativity_bosonic(state.v, strict_paper=strict_paper) if boson
+                  else entanglement.log_negativity_fermionic(state.sigma))
+        _emit({"measure": "logneg", "value": result.value,
+               "spectrum": result.auxiliary_spectrum})
 
 
 @main.command()

@@ -15,14 +15,10 @@ import numpy as np
 from scipy.linalg import schur
 
 from . import lyapunov
-from ._util import antisymmetrize, max_abs, require_finite, require_square
-from .errors import (
-    BoundaryError,
-    PositivityError,
-    StabilityError,
-    StructuralError,
-)
-from .model import DEFAULT_TOL, FERMIONIC, GeneralizedLindbladModel, validate_model
+from ._util import antisymmetrize, max_abs, require_square, require_squares
+from .bosonic import Trajectory
+from .errors import BoundaryError, StructuralError
+from .model import DEFAULT_TOL, FERMIONIC, GeneralizedLindbladModel, require_valid
 
 
 @dataclass(frozen=True)
@@ -99,22 +95,7 @@ def build_drift_diffusion(model: GeneralizedLindbladModel,
     """
     if model.flavor != FERMIONIC:
         raise StructuralError(f"expected a fermionic model, got {model.flavor!r}")
-    report = validate_model(model, tol)
-    gamma_scale = max(1.0, max_abs(model.gamma))
-    if report.hermitian_defect > tol * gamma_scale:
-        raise PositivityError(
-            f"decoherence matrix is not Hermitian (defect {report.hermitian_defect:.3e}); "
-            "split it with model.split_non_hermitian before building dynamics"
-        )
-    if report.min_gamma_eigenvalue < -tol * gamma_scale:
-        raise PositivityError(
-            f"decoherence matrix has negative eigenvalue {report.min_gamma_eigenvalue:.3e}"
-        )
-    if report.hamiltonian_symmetry_defect > tol * max(1.0, max_abs(model.hamiltonian)):
-        raise StructuralError(
-            f"fermionic hamiltonian matrix must be antisymmetric "
-            f"(defect {report.hamiltonian_symmetry_defect:.3e})"
-        )
+    require_valid(model, tol)
     s = model.f.conj().T @ model.gamma.T @ model.f
     x = model.hamiltonian - s.real
     y_raw = -2.0 * s.imag
@@ -125,19 +106,15 @@ def build_drift_diffusion(model: GeneralizedLindbladModel,
 
 def propagate_covariance(dd: FermionicDriftDiffusion, sigma0, times,
                          method: str = "exact",
-                         rk4_substeps: int = 1) -> list[FermionicGaussianState]:
+                         rk4_substeps: int = 1) -> Trajectory:
     """Propagate the Majorana covariance; output is antisymmetrized each step.
 
-    The first state is validated in full; the later ones have its shape and
-    exact antisymmetry by construction, so one finiteness test over the
-    whole trajectory completes their checks.
+    The returned trajectory has no means, since they vanish by parity.
     """
     sigma0 = require_square(sigma0, "sigma0", dtype=float)
     sigmas, _ = lyapunov.propagate(dd.x, dd.y, sigma0, times, antisymmetrize,
                                    method=method, rk4_substeps=rk4_substeps)
-    require_finite(sigmas, "sigma")
-    return [FermionicGaussianState(sigma=sigmas[0])] + [
-        FermionicGaussianState._trusted(s) for s in sigmas[1:]]
+    return Trajectory(times, sigmas)
 
 
 def is_hurwitz(dd: FermionicDriftDiffusion,
@@ -148,24 +125,21 @@ def is_hurwitz(dd: FermionicDriftDiffusion,
 def steady_state(dd: FermionicDriftDiffusion,
                  hurwitz_tol: float = lyapunov.DEFAULT_HURWITZ_TOL,
                  residual_tol: float = lyapunov.DEFAULT_RESIDUAL_TOL) -> FermionicGaussianState:
-    """Fixed point of the covariance dynamics.
-
-    Dissipation-free directions (dark modes) leave the fixed point
-    non-unique, so a drift spectrum touching the imaginary axis is rejected.
-    """
-    stable, abscissa = is_hurwitz(dd, hurwitz_tol)
-    if not stable:
-        raise StabilityError(
-            f"drift matrix is not Hurwitz (spectral abscissa {abscissa:.3e})",
-            spectral_abscissa=abscissa,
-        )
-    sigma = antisymmetrize(lyapunov.solve_fixed_point(dd.x, dd.y, residual_tol))
+    """Fixed point of the covariance dynamics for a Hurwitz drift."""
+    sigma = lyapunov.steady_state(dd.x, dd.y, antisymmetrize, hurwitz_tol, residual_tol)
     return FermionicGaussianState(sigma=sigma)
 
 
 def check_physicality(sigma, tol: float = 1e-9) -> tuple[bool, float]:
-    """Positivity test: all eigenvalue magnitudes of sigma must be <= 1."""
-    sigma = _as_antisymmetric(sigma)
+    """Positivity test: all eigenvalue magnitudes of sigma must be <= 1.
+
+    ``sigma`` is one covariance or a (T, 2N, 2N) stack, tested with one
+    ``eigvalsh``; the largest magnitude over the stack is returned.
+    """
+    if isinstance(sigma, FermionicGaussianState):
+        sigma = sigma.sigma
+    else:
+        sigma = _antisymmetric(require_squares(sigma, "sigma"))
     # i sigma is Hermitian with real eigenvalues +-lambda_j
     max_lambda = max_abs(np.linalg.eigvalsh(1j * sigma))
     return max_lambda <= 1.0 + tol, max_lambda
@@ -178,10 +152,7 @@ def mode_spectrum(sigma, tol: float = 1e-9) -> np.ndarray:
     degenerate spectra resolve deterministically.
     """
     sigma = _as_antisymmetric(sigma)
-    eigs = np.linalg.eigvals(sigma)
-    if eigs.size and max_abs(eigs.real) > 1e-9 * max(1.0, max_abs(sigma)):
-        raise StructuralError("sigma spectrum is not purely imaginary")
-    lams = np.sort(np.abs(eigs.imag))[::-1]
+    lams = np.sort(np.abs(np.linalg.eigvalsh(1j * sigma)))[::-1]
     paired = []
     for i in range(0, lams.size, 2):
         if abs(lams[i] - lams[i + 1]) > tol * max(1.0, lams[i]):
@@ -262,8 +233,13 @@ def gibbs_to_covariance(kernel) -> FermionicGaussianState:
 def _as_antisymmetric(sigma) -> np.ndarray:
     if isinstance(sigma, FermionicGaussianState):
         return sigma.sigma
-    sigma = require_square(sigma, "sigma", dtype=float)
-    defect = max_abs(sigma + sigma.T)
+    return _antisymmetric(require_square(sigma, "sigma", dtype=float))
+
+
+def _antisymmetric(sigma: np.ndarray) -> np.ndarray:
+    """Antisymmetric part over the last two axes, after a defect check."""
+    sigma_t = np.swapaxes(sigma, -1, -2)
+    defect = max_abs(sigma + sigma_t)
     if defect > 1e-9 * max(1.0, max_abs(sigma)):
         raise StructuralError(f"matrix must be antisymmetric (defect {defect:.3e})")
-    return antisymmetrize(sigma)
+    return 0.5 * (sigma - sigma_t)

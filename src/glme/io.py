@@ -181,24 +181,18 @@ def load_state(path: str):
     """Read a state file; returns a bosonic or fermionic state by kind."""
     data = _load_json(path)
     kind = data.get("kind")
-    if kind == BOSONIC:
-        try:
-            v = _real_matrix(data["V"], "V")
-            mean = np.asarray(data.get("mean", np.zeros(v.shape[0])), dtype=float)
-            return GaussianState(mean=mean, v=v)
-        except KeyError as exc:
-            raise ParseError(f"{path}: missing required field {exc}") from exc
-        except (StructuralError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-    if kind == FERMIONIC:
-        try:
-            sigma = _real_matrix(data["sigma"], "sigma")
-            return FermionicGaussianState(sigma=sigma)
-        except KeyError as exc:
-            raise ParseError(f"{path}: missing required field {exc}") from exc
-        except (StructuralError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-    raise ParseError(f"{path}: kind must be one of {FLAVORS}, got {kind!r}")
+    if kind not in FLAVORS:
+        raise ParseError(f"{path}: kind must be one of {FLAVORS}, got {kind!r}")
+    try:
+        if kind == FERMIONIC:
+            return FermionicGaussianState(sigma=_real_matrix(data["sigma"], "sigma"))
+        v = _real_matrix(data["V"], "V")
+        mean = np.asarray(data.get("mean", np.zeros(v.shape[0])), dtype=float)
+        return GaussianState(mean=mean, v=v)
+    except KeyError as exc:
+        raise ParseError(f"{path}: missing required field {exc}") from exc
+    except (StructuralError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def save_state(state, path: str):
@@ -213,28 +207,32 @@ def save_state(state, path: str):
 
 def bosonic_trajectory_csv(trajectory: Trajectory) -> str:
     """CSV rows t, mean_1..mean_2N, V_11..V_2N2N (row-major full matrix)."""
-    states = trajectory.states
-    n2 = states[0].v.shape[0]
+    n_times, n2 = trajectory.means.shape
     header = ["t"]
     header += [f"mean_{j + 1}" for j in range(n2)]
     header += [f"V_{j + 1}{k + 1}" for j in range(n2) for k in range(n2)]
-    rows = np.empty((len(states), 1 + n2 + n2 * n2))
+    rows = np.empty((n_times, 1 + n2 + n2 * n2))
     rows[:, 0] = trajectory.times
-    rows[:, 1:1 + n2] = [s.mean for s in states]
-    rows[:, 1 + n2:] = np.reshape([s.v for s in states], (len(states), -1))
+    rows[:, 1:1 + n2] = trajectory.means
+    rows[:, 1 + n2:] = trajectory.covs.reshape(n_times, -1)
     return _csv(header, rows)
+
+
+def _sigmas(times, states) -> np.ndarray:
+    """Stacked covariances of a fermionic ``Trajectory`` or list of states."""
+    if len(times) != len(states):
+        raise StructuralError("times and states must have equal length")
+    return states.covs if isinstance(states, Trajectory) else np.array([s.sigma for s in states])
 
 
 def fermionic_trajectory_csv(times, states) -> str:
     """CSV rows t, sigma_12, sigma_13, ... (strict upper triangle, row-major)."""
-    if len(times) != len(states):
-        raise StructuralError("times and states must have equal length")
-    n2 = states[0].sigma.shape[0]
-    upper = np.triu_indices(n2, 1)
+    sigmas = _sigmas(times, states)
+    upper = np.triu_indices(sigmas.shape[1], 1)
     header = ["t"] + [f"sigma_{j + 1}{k + 1}" for j, k in zip(*upper)]
-    rows = np.empty((len(states), 1 + upper[0].size))
+    rows = np.empty((len(sigmas), 1 + upper[0].size))
     rows[:, 0] = times
-    rows[:, 1:] = np.array([s.sigma for s in states])[:, upper[0], upper[1]]
+    rows[:, 1:] = sigmas[:, upper[0], upper[1]]
     return _csv(header, rows)
 
 
@@ -242,7 +240,7 @@ def bosonic_trajectory_json(trajectory: Trajectory) -> str:
     payload = {
         "kind": BOSONIC,
         "times": trajectory.times,
-        "states": [{"mean": s.mean, "V": s.v} for s in trajectory.states],
+        "states": [{"mean": m, "V": v} for m, v in zip(trajectory.means, trajectory.covs)],
     }
     return dumps(payload) + "\n"
 
@@ -251,7 +249,7 @@ def fermionic_trajectory_json(times, states) -> str:
     payload = {
         "kind": FERMIONIC,
         "times": np.asarray(times),
-        "states": [{"sigma": s.sigma} for s in states],
+        "states": [{"sigma": sigma} for sigma in _sigmas(times, states)],
     }
     return dumps(payload) + "\n"
 

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import expm, solve_continuous_lyapunov
 
 from ._util import max_abs
-from .errors import NumericalError, StructuralError
+from .errors import NumericalError, StabilityError, StructuralError
 
 DEFAULT_HURWITZ_TOL = 1e-10
 DEFAULT_RESIDUAL_TOL = 1e-10
@@ -57,6 +57,24 @@ def solve_fixed_point(a: np.ndarray, q: np.ndarray,
             residual=residual,
         )
     return x
+
+
+def steady_state(a: np.ndarray, q: np.ndarray,
+                 structure: Callable[[np.ndarray], np.ndarray],
+                 hurwitz_tol: float = DEFAULT_HURWITZ_TOL,
+                 residual_tol: float = DEFAULT_RESIDUAL_TOL) -> np.ndarray:
+    """Unique fixed point of dX/dt = a X + X aT + q, passed through ``structure``.
+
+    Dissipation-free directions (dark modes) leave the fixed point
+    non-unique, so a drift spectrum touching the imaginary axis is rejected.
+    """
+    stable, abscissa = is_hurwitz_matrix(a, hurwitz_tol)
+    if not stable:
+        raise StabilityError(
+            f"drift matrix is not Hurwitz (spectral abscissa {abscissa:.3e})",
+            spectral_abscissa=abscissa,
+        )
+    return structure(solve_fixed_point(a, q, residual_tol))
 
 
 def validate_times(times) -> np.ndarray:
@@ -127,15 +145,24 @@ def _flow(block: np.ndarray, a_norm: float, dt: float) -> tuple[np.ndarray, np.n
 
 
 def _propagate_exact(a, q, xs, ys, times, structure):
-    """Fill xs[1:] (and ys[1:]) in place with the cached flow of each distinct step."""
+    """Fill xs[1:] (and ys[1:]) in place with the cached flow of each distinct step.
+
+    Steps within 4 ulps of h = (t_end - t0) / (T - 1), as ``np.linspace``
+    gives them, are all set to h, so a uniform grid takes a single flow.
+    """
     n = a.shape[0]
     block = np.zeros((2 * n, 2 * n))
     block[:n, :n] = -a
     block[:n, n:] = q
     block[n:, n:] = a.T
     a_norm = float(np.abs(a).sum(axis=0).max())
+    steps = np.diff(times)
+    if steps.size:
+        h = (times[-1] - times[0]) / steps.size
+        if np.max(np.abs(steps - h)) <= 4.0 * np.spacing(max(abs(times[0]), abs(times[-1]))):
+            steps[:] = h
     flows = {}
-    for i, dt in enumerate(np.diff(times).tolist(), start=1):
+    for i, dt in enumerate(steps.tolist(), start=1):
         if dt not in flows:
             flows[dt] = _flow(block, a_norm, dt)
         e, m = flows[dt]

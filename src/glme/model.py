@@ -149,6 +149,32 @@ def validate_model(model: GeneralizedLindbladModel, tol: float = DEFAULT_TOL) ->
     )
 
 
+def _require_positive(hermitian_defect: float, min_eigenvalue: float, bound: float):
+    """Raise unless the decoherence matrix is Hermitian and PSD to within ``bound``."""
+    if hermitian_defect > bound:
+        raise PositivityError(
+            f"decoherence matrix is not Hermitian (defect {hermitian_defect:.3e}); "
+            "split it with model.split_non_hermitian and fold the anti-Hermitian "
+            "part into the Hamiltonian"
+        )
+    if min_eigenvalue < -bound:
+        raise PositivityError(f"decoherence matrix has negative eigenvalue {min_eigenvalue:.3e}")
+
+
+def require_valid(model: GeneralizedLindbladModel, tol: float = DEFAULT_TOL):
+    """Validate a model, raising the error for the first invariant it breaks."""
+    report = validate_model(model, tol)
+    if report.is_valid:
+        return
+    _require_positive(report.hermitian_defect, report.min_gamma_eigenvalue,
+                      tol * max(1.0, max_abs(model.gamma)))
+    symmetry = "symmetric" if model.flavor == BOSONIC else "antisymmetric"
+    raise StructuralError(
+        f"{model.flavor} hamiltonian matrix must be {symmetry} "
+        f"(defect {report.hamiltonian_symmetry_defect:.3e})"
+    )
+
+
 def split_non_hermitian(gamma) -> tuple[np.ndarray, np.ndarray]:
     """Split a square matrix into its Hermitian and anti-Hermitian parts.
 
@@ -177,18 +203,8 @@ def to_standard_form(gamma, f, tol: float = DEFAULT_TOL) -> StandardForm:
         raise StructuralError(
             f"F must have one row per Gamma row ({gamma.shape[0]}), got shape {f.shape}"
         )
-    scale = max(1.0, max_abs(gamma))
-    defect = max_abs(gamma - gamma.conj().T)
-    if defect > tol * scale:
-        raise PositivityError(
-            f"decoherence matrix is not Hermitian (defect {defect:.3e}); "
-            "use split_non_hermitian and fold the anti-Hermitian part into the Hamiltonian"
-        )
     evals, vecs = np.linalg.eigh(0.5 * (gamma + gamma.conj().T))
-    if np.min(evals) < -tol * scale:
-        raise PositivityError(
-            f"decoherence matrix has negative eigenvalue {np.min(evals):.3e}"
-        )
+    _require_positive(max_abs(gamma - gamma.conj().T), np.min(evals), tol * max(1.0, max_abs(gamma)))
     rates = np.clip(evals, 0.0, None)
     rows = vecs.T @ f
 

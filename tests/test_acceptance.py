@@ -132,6 +132,7 @@ def _cool_stable_bosonic(rng, n_modes, times, v0, nbar_cap):
             return m, dd
 
 
+@pytest.mark.slow
 def test_criterion_3_dense_oracle_moment_closure():
     rng = np.random.default_rng(303)
     started = time.monotonic()

@@ -199,6 +199,20 @@ class TestPropagateCovariance:
         for a, b in zip(exact.states, rk4.states):
             assert np.max(np.abs(a.v - b.v)) <= 1e-12 * np.max(np.abs(b.v))
 
+    @pytest.mark.parametrize("times, flows", [
+        (np.linspace(0.0, 2.0, 1001), 1),
+        (np.linspace(0.0, 5.0, 501), 1),
+        (np.linspace(-2.0, 0.0, 101), 1),
+        (np.array([0.0, 0.5, 1.0, 1.25, 1.5, 2.5]), 3),
+    ])
+    def test_one_flow_per_distinct_step(self, monkeypatch, times, flows):
+        # linspace steps differ by a few ulps; the grid still takes one flow
+        calls = []
+        monkeypatch.setattr(lyapunov, "expm", lambda m: calls.append(m) or expm(m))
+        dd = bosonic.build_drift_diffusion(damped_oscillator_model())
+        bosonic.propagate_covariance(dd, np.eye(2), times)
+        assert len(calls) == flows
+
     @pytest.mark.parametrize("norm_dt", [50.0, 1000.0])
     def test_large_norm_step_matches_closed_form(self, rng, norm_dt):
         # one step far beyond ||A||_1 dt = 1 exercises the doubling of the base step
@@ -211,6 +225,38 @@ class TestPropagateCovariance:
         closed = e @ (v0 - v_inf) @ e.T + v_inf
         assert np.all(np.isfinite(v))
         assert np.max(np.abs(v - closed)) <= 1e-12 * np.max(np.abs(closed))
+
+
+class TestTrajectory:
+    def test_reads_as_sequence_of_cached_states(self):
+        dd = bosonic.build_drift_diffusion(damped_oscillator_model())
+        times = np.linspace(0.0, 1.0, 5)
+        traj = bosonic.propagate_covariance(dd, np.eye(2), times, mean0=[1.0, 0.0])
+        assert traj.covs.shape == (5, 2, 2) and traj.means.shape == (5, 2)
+        assert len(traj) == 5
+        assert traj.states is traj.states
+        assert all(a is b for a, b in zip(traj, traj.states))
+        assert traj[-1] is traj.states[4]
+        for i, state in enumerate(traj):
+            assert isinstance(state, bosonic.GaussianState)
+            np.testing.assert_array_equal(state.v, traj.covs[i])
+            np.testing.assert_array_equal(state.mean, traj.means[i])
+
+    def test_zero_means_without_mean0(self):
+        dd = bosonic.build_drift_diffusion(damped_oscillator_model())
+        traj = bosonic.propagate_covariance(dd, np.eye(2), [0.0, 1.0])
+        np.testing.assert_array_equal(traj.means, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("times, covs, means", [
+        ([0.0, 1.0, 2.0], np.zeros((2, 2, 2)), None),
+        ([0.0, 1.0], np.zeros((2, 3, 3)), None),
+        ([0.0, 1.0], np.zeros((2, 2)), None),
+        ([0.0, 1.0], np.zeros((2, 2, 2)), np.zeros((2, 3))),
+        ([1.0, 0.0], np.zeros((2, 2, 2)), None),
+    ])
+    def test_malformed_arrays_rejected(self, times, covs, means):
+        with pytest.raises(StructuralError):
+            bosonic.Trajectory(times, covs, means)
 
 
 class TestHurwitz:
@@ -290,6 +336,15 @@ class TestPhysicalityAndPurity:
         ok, min_eig = bosonic.check_physicality(0.5 * np.eye(2))
         assert not ok
         assert min_eig == pytest.approx(-0.5, abs=1e-14)
+
+    def test_stacked_matches_per_state_loop(self, rng):
+        _, dd = random_stable_bosonic(rng, 2)
+        v0 = random_physical_v(rng, 2)
+        traj = bosonic.propagate_covariance(dd, v0, np.linspace(0.0, 3.0, 101))
+        ok, min_eig = bosonic.check_physicality(traj.covs)
+        assert min_eig == min(bosonic.check_physicality(v)[1] for v in traj.covs)
+        assert ok
+        assert not bosonic.check_physicality(np.stack([np.eye(2), 0.5 * np.eye(2)]))[0]
 
     def test_thermal_physical(self):
         ok, min_eig = bosonic.check_physicality(2.0 * np.eye(2))

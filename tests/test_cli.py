@@ -309,6 +309,6 @@ class TestToleranceHandling:
         assert result.exit_code == 0
 
     def test_unknown_tolerance_rejected(self, runner, damped_file):
-        for option in ("bogus=1", "quad=1e-9"):
+        for option in ("bogus=1", "quad=1e-9", "physicality=1e-9", "boundary=1e-9"):
             result = runner.invoke(main, ["validate", damped_file, "--tol", option])
             assert result.exit_code == 2

@@ -147,6 +147,28 @@ class TestSteadyState:
 
 
 class TestPhysicalityAndPurity:
+    def test_stacked_matches_per_state_loop(self, rng):
+        _, dd = random_stable_fermionic(rng, 2)
+        traj = fermionic.propagate_covariance(dd, random_physical_sigma(rng, 2),
+                                              np.linspace(0.0, 3.0, 101))
+        assert traj.means is None
+        assert all(isinstance(s, fermionic.FermionicGaussianState) for s in traj)
+        ok, max_lam = fermionic.check_physicality(traj.covs)
+        assert max_lam == max(fermionic.check_physicality(s)[1] for s in traj.covs)
+        assert ok
+        assert not fermionic.check_physicality(np.stack([J, 1.5 * J]))[0]
+
+    def test_mode_spectrum_matches_general_eigenvalues(self, rng):
+        # reference: the general eigvals path, imaginary parts paired by sorted magnitude
+        sigmas = [random_physical_sigma(rng, n) for n in range(1, 6)]
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        sigmas.append(q @ np.kron(np.eye(3), 0.6 * J) @ q.T)   # threefold degenerate
+        for sigma in sigmas:
+            sigma = 0.5 * (sigma - sigma.T)
+            lams = np.sort(np.abs(np.linalg.eigvals(sigma).imag))[::-1]
+            expect = 0.5 * (lams[0::2] + lams[1::2])
+            assert np.max(np.abs(fermionic.mode_spectrum(sigma) - expect)) <= 1e-12
+
     def test_vacuum_is_pure_boundary(self):
         ok, max_lam = fermionic.check_physicality(J)
         assert ok

@@ -160,7 +160,7 @@ def _pinned_outputs() -> dict[str, str]:
     """The four writers on fixed two-mode trajectories built from _EDGE_VALUES."""
     times = np.array([0.0, 0.1, 1.0, 2.5])
     upper, strict = np.triu_indices(4), np.triu_indices(4, 1)
-    bosonic_states, fermionic_states = [], []
+    means, covs, fermionic_states = [], [], []
     for k in range(times.size):
         vals = np.roll(_EDGE_VALUES, k)
         v = np.zeros((4, 4))
@@ -169,9 +169,10 @@ def _pinned_outputs() -> dict[str, str]:
         sigma = np.zeros((4, 4))
         sigma[strict] = vals[:6]
         sigma[strict[1], strict[0]] = -vals[:6]
-        bosonic_states.append(bosonic.GaussianState(mean=vals[:4], v=v))
+        means.append(vals[:4])
+        covs.append(v)
         fermionic_states.append(fermionic.FermionicGaussianState(sigma))
-    traj = bosonic.Trajectory(times=times, states=bosonic_states)
+    traj = bosonic.Trajectory(times=times, covs=np.array(covs), means=np.array(means))
     return {
         "bosonic_csv": io.bosonic_trajectory_csv(traj),
         "bosonic_json": io.bosonic_trajectory_json(traj),
@@ -217,8 +218,18 @@ class TestTrajectorySerialization:
 
     def test_fermionic_csv_length_mismatch_rejected(self):
         states = [fermionic.FermionicGaussianState(np.zeros((2, 2)))] * 2
-        with pytest.raises(StructuralError, match="equal length"):
-            io.fermionic_trajectory_csv([0.0, 1.0, 2.0], states)
+        for writer in (io.fermionic_trajectory_csv, io.fermionic_trajectory_json):
+            with pytest.raises(StructuralError, match="equal length"):
+                writer([0.0, 1.0, 2.0], states)
+
+    def test_fermionic_writers_take_trajectory_or_list(self):
+        from conftest import fermionic_decay_model
+
+        dd = fermionic.build_drift_diffusion(fermionic_decay_model())
+        times = np.linspace(0, 1, 4)
+        traj = fermionic.propagate_covariance(dd, np.zeros((2, 2)), times)
+        for writer in (io.fermionic_trajectory_csv, io.fermionic_trajectory_json):
+            assert writer(times, traj) == writer(times, list(traj))
 
     def test_json_trajectory(self):
         dd = bosonic.build_drift_diffusion(damped_oscillator_model())
