@@ -125,9 +125,7 @@ def log_negativity_fermionic(sigma, tol: float = 1e-9) -> NegativityResult:
     sigma = fermionic._as_antisymmetric(sigma)
     if sigma.shape[0] != 4:
         raise StructuralError(f"log negativity needs exactly two modes, got shape {sigma.shape}")
-    lams = fermionic.mode_spectrum(sigma)
-    tr_rho_sq = float(np.prod((1.0 + lams ** 2) / 2.0))
-    s2 = -np.log(tr_rho_sq)
+    s2 = -np.log(fermionic.purity(sigma))
 
     cross = sigma_cross(sigma)
     cross_lams = _paired_magnitudes(cross, tol)

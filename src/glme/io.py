@@ -205,8 +205,14 @@ def save_state(state, path: str):
     atomic_write(path, dumps(payload) + "\n")
 
 
+def _require_means(trajectory: Trajectory):
+    if trajectory.means is None:
+        raise StructuralError("bosonic trajectory writers need means; this trajectory is fermionic")
+
+
 def bosonic_trajectory_csv(trajectory: Trajectory) -> str:
     """CSV rows t, mean_1..mean_2N, V_11..V_2N2N (row-major full matrix)."""
+    _require_means(trajectory)
     n_times, n2 = trajectory.means.shape
     header = ["t"]
     header += [f"mean_{j + 1}" for j in range(n2)]
@@ -237,6 +243,7 @@ def fermionic_trajectory_csv(times, states) -> str:
 
 
 def bosonic_trajectory_json(trajectory: Trajectory) -> str:
+    _require_means(trajectory)
     payload = {
         "kind": BOSONIC,
         "times": trajectory.times,

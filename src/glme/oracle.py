@@ -17,6 +17,7 @@ import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.sparse.linalg import LinearOperator, expm_multiply
 
+from . import lyapunov
 from ._util import max_abs
 from .errors import DomainError, StructuralError, TruncationError
 from .model import BOSONIC, FERMIONIC, GeneralizedLindbladModel
@@ -24,6 +25,8 @@ from .model import BOSONIC, FERMIONIC, GeneralizedLindbladModel
 _DENSE_CUTOFF = 64          # below this dimension plain ndarrays beat sparse
 _SUPEROP_CUTOFF = 32        # largest dimension for dense superoperator exponentials
 _MAX_DENSE_DIM = 4096
+_TRUNCATION_THRESHOLD = 1e-8  # largest top-two Fock level population check_truncation allows
+_CHECK_SAMPLES = 4          # random states per preservation check
 
 
 def _destroy(dim: int) -> np.ndarray:
@@ -49,6 +52,24 @@ def _dagger(op):
     if sp.issparse(op):
         return op.conj().T.tocsr()
     return op.conj().T
+
+
+def _combine(coeffs, ops, zero):
+    """Sum of c * op over the nonzero coefficients c; ``zero`` when there are none."""
+    out = zero
+    for c, op in zip(coeffs, ops):
+        if c != 0:
+            out = out + c * op
+    return out
+
+
+def _quadratic(m, left, right, zero):
+    """Sum of m[j, k] * left[j] @ right[k] over the nonzero m[j, k]; ``zero`` when there are none."""
+    out = zero
+    for (j, k), c in np.ndenumerate(m):
+        if c != 0:
+            out = out + c * (left[j] @ right[k])
+    return out
 
 
 def _triplets(op) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -102,10 +123,11 @@ def _trace_product(a, rho: np.ndarray) -> complex:
 
 
 class _DenseEngine:
-    """Shared Liouvillian application, adjoint, superoperator, and integrators.
+    """Shared Liouvillian application, adjoint, superoperator, and exponentials.
 
-    Subclasses set the channel operators ``f_ops`` and also express them in a
-    basis: ``f_ops[l] = sum_mu basis_rows[l, mu] * basis_ops[mu]``. The
+    Subclasses set the zero operator ``_zero`` of their storage, the channel
+    operators ``f_ops``, and also express the channels in a basis:
+    ``f_ops[l] = sum_mu basis_rows[l, mu] * basis_ops[mu]``. The
     superoperator is assembled from that basis, so its dissipator has one
     Kronecker term per basis pair however many channels there are.
     """
@@ -120,21 +142,10 @@ class _DenseEngine:
 
     def _finalize(self):
         self._f_dags = [_dagger(f) for f in self.f_ops]
-        k = None
-        for j in range(self.gamma.shape[0]):
-            for kk in range(self.gamma.shape[1]):
-                g = self.gamma[j, kk]
-                if g == 0:
-                    continue
-                term = g * (self._f_dags[kk] @ self.f_ops[j])
-                k = term if k is None else k + term
-        if k is None:
-            k = (sp.csr_matrix((self.dim, self.dim), dtype=complex)
-                 if sp.issparse(self.hamiltonian_op) else np.zeros((self.dim, self.dim), complex))
-        self._k_op = k
+        # K = sum_jk gamma[j, k] f_k^dag f_j
+        self._k_op = _quadratic(self.gamma.T, self._f_dags, self.f_ops, self._zero)
         self._sandwiches = self._build_sandwiches()
         self._superop = None
-        self._norm_estimate = None
 
     def _build_sandwiches(self):
         """Weighted (op, op_dag) pairs whose sandwich sum forms the dissipator.
@@ -146,7 +157,6 @@ class _DenseEngine:
         The two applications are the same linear map (pinned by a test); the
         superoperator does not depend on the choice.
         """
-        pairs = []
         if self.mix_channels:
             defect = max_abs(self.gamma - self.gamma.conj().T)
             if defect > 1e-12 * max(1.0, max_abs(self.gamma)):
@@ -154,29 +164,15 @@ class _DenseEngine:
                     "mix_channels requires a Hermitian decoherence matrix "
                     f"(defect {defect:.3e})"
                 )
-            herm = 0.5 * (self.gamma + self.gamma.conj().T)
-            evals, vecs = np.linalg.eigh(herm)
-            for l in range(evals.size):
-                rate = float(evals[l])
-                if abs(rate) < 1e-14:
-                    continue
-                op = None
-                for j in range(len(self.f_ops)):
-                    coeff = vecs[j, l]
-                    if coeff == 0:
-                        continue
-                    term = coeff * self.f_ops[j]
-                    op = term if op is None else op + term
-                if op is not None:
-                    pairs.append((rate, op, _dagger(op)))
+            evals, vecs = np.linalg.eigh(0.5 * (self.gamma + self.gamma.conj().T))
+            pairs = []
+            for rate, vec in zip(evals, vecs.T):
+                if abs(rate) >= 1e-14:
+                    op = _combine(vec, self.f_ops, self._zero)
+                    pairs.append((float(rate), op, _dagger(op)))
             return pairs
-        for j in range(self.gamma.shape[0]):
-            for k in range(self.gamma.shape[1]):
-                g = self.gamma[j, k]
-                if g == 0:
-                    continue
-                pairs.append((g, self.f_ops[j], self._f_dags[k]))
-        return pairs
+        return [(g, self.f_ops[j], self._f_dags[k])
+                for (j, k), g in np.ndenumerate(self.gamma) if g != 0]
 
     def liouvillian(self, rho: np.ndarray) -> np.ndarray:
         """Right-hand side of the master equation applied to a density matrix."""
@@ -221,54 +217,21 @@ class _DenseEngine:
                     terms.append((coeffs[mu, nu], b_mu, (row, col, val.conj())))
         return _kron_sum(terms, self.dim)
 
-    def norm_estimate(self, iterations: int = 12, seed: int = 0) -> float:
-        """Power-iteration estimate of the generator's operator norm."""
-        if self._norm_estimate is None:
-            rng = np.random.default_rng(seed)
-            rho = rng.standard_normal((self.dim, self.dim)) + 1j * rng.standard_normal((self.dim, self.dim))
-            rho /= np.linalg.norm(rho)
-            norm = 1.0
-            for _ in range(iterations):
-                rho = self.liouvillian(rho)
-                norm = np.linalg.norm(rho)
-                if norm == 0:
-                    break
-                rho /= norm
-            self._norm_estimate = max(float(norm), 1e-12)
-        return self._norm_estimate
+    def evolve(self, rho0: np.ndarray, times, method: str = "krylov") -> list[np.ndarray]:
+        """Propagate the master equation through the grid; first time is rho0.
 
-    def evolve(self, rho0: np.ndarray, times, method: str = "rk4") -> list[np.ndarray]:
-        """Integrate the master equation through the grid; first time is rho0."""
-        times = np.asarray(times, dtype=float)
-        if times.ndim != 1 or times.size == 0 or (times.size > 1 and np.min(np.diff(times)) <= 0):
-            raise StructuralError("times must be non-empty and strictly increasing")
+        "krylov" applies ``expm_multiply`` to the superoperator at any
+        dimension; "expm" takes dense exponentials of it, up to dimension 32.
+        """
+        times = lyapunov.validate_times(times)
         rho0 = np.asarray(rho0, dtype=complex)
         if rho0.shape != (self.dim, self.dim):
             raise StructuralError(f"state must be {self.dim}x{self.dim}, got {rho0.shape}")
-        if method == "rk4":
-            return self._evolve_rk4(rho0, times)
         if method == "expm":
             return self._evolve_expm(rho0, times)
         if method == "krylov":
             return self._evolve_krylov(rho0, times)
         raise StructuralError(f"unknown dense integration method {method!r}")
-
-    def _evolve_rk4(self, rho0, times) -> list[np.ndarray]:
-        h_max = 1.0 / (50.0 * self.norm_estimate())
-        out = [rho0]
-        rho = rho0
-        for i in range(1, times.size):
-            span = times[i] - times[i - 1]
-            steps = max(1, int(np.ceil(span / h_max)))
-            h = span / steps
-            for _ in range(steps):
-                k1 = self.liouvillian(rho)
-                k2 = self.liouvillian(rho + 0.5 * h * k1)
-                k3 = self.liouvillian(rho + 0.5 * h * k2)
-                k4 = self.liouvillian(rho + h * k3)
-                rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            out.append(rho)
-        return out
 
     def _evolve_expm(self, rho0, times) -> list[np.ndarray]:
         if self.dim > _SUPEROP_CUTOFF:
@@ -316,7 +279,7 @@ class DenseBosonicEngine(_DenseEngine):
     """Truncated Fock-space realization of a bosonic model."""
 
     def __init__(self, model: GeneralizedLindbladModel, fock_dim: int = 30,
-                 truncation_threshold: float = 1e-8, mix_channels: bool = False):
+                 mix_channels: bool = False):
         if model.flavor != BOSONIC:
             raise StructuralError(f"expected a bosonic model, got {model.flavor!r}")
         if fock_dim < 2:
@@ -332,9 +295,10 @@ class DenseBosonicEngine(_DenseEngine):
         self.fock_dim = fock_dim
         self.n_modes = n
         self.dim = dim
-        self.truncation_threshold = truncation_threshold
         self.mix_channels = mix_channels
         sparse = dim > _DENSE_CUTOFF
+        self._zero = (sp.csr_matrix((dim, dim), dtype=complex) if sparse
+                      else np.zeros((dim, dim), complex))
         dims = [fock_dim] * n
 
         a_local = _destroy(fock_dim)
@@ -351,31 +315,8 @@ class DenseBosonicEngine(_DenseEngine):
         f_q, f_p = model.f[:, 0::2], model.f[:, 1::2]
         self.basis_rows = np.hstack([sqrt_half * (f_q - 1j * f_p), sqrt_half * (f_q + 1j * f_p)])
 
-        h = None
-        for j in range(2 * n):
-            for k in range(2 * n):
-                coeff = model.hamiltonian[j, k]
-                if coeff == 0:
-                    continue
-                term = 0.5 * coeff * (self.x_ops[j] @ self.x_ops[k])
-                h = term if h is None else h + term
-        if h is None:
-            h = (sp.csr_matrix((dim, dim), dtype=complex) if sparse
-                 else np.zeros((dim, dim), complex))
-        self.hamiltonian_op = h
-
-        self.f_ops = []
-        for row in model.f:
-            op = None
-            for k, coeff in enumerate(row):
-                if coeff == 0:
-                    continue
-                term = coeff * self.x_ops[k]
-                op = term if op is None else op + term
-            if op is None:
-                op = (sp.csr_matrix((dim, dim), dtype=complex) if sparse
-                      else np.zeros((dim, dim), complex))
-            self.f_ops.append(op)
+        self.hamiltonian_op = _quadratic(0.5 * model.hamiltonian, self.x_ops, self.x_ops, self._zero)
+        self.f_ops = [_combine(row, self.x_ops, self._zero) for row in model.f]
         self.gamma = model.gamma
         self._finalize()
 
@@ -384,18 +325,21 @@ class DenseBosonicEngine(_DenseEngine):
         rho[0, 0] = 1.0
         return rho
 
+    def _moments(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Tr(x_j rho) and Tr(x_k {x_j, rho}), the parts of the moments linear in rho."""
+        n2 = 2 * self.n_modes
+        first = np.array([_trace_product(x, rho).real for x in self.x_ops])
+        second = np.zeros((n2, n2))
+        for j in range(n2):
+            anti = np.asarray(self.x_ops[j] @ rho + rho @ self.x_ops[j])
+            for k in range(j, n2):
+                second[j, k] = second[k, j] = _trace_product(self.x_ops[k], anti).real
+        return first, second
+
     def extract_mean_and_v(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """First moments and anticommutator covariance from a density matrix."""
-        n2 = 2 * self.n_modes
-        mean = np.array([_trace_product(x, rho).real for x in self.x_ops])
-        v = np.zeros((n2, n2))
-        for j in range(n2):
-            xj_rho = self.x_ops[j] @ rho
-            rho_xj = rho @ self.x_ops[j]
-            for k in range(j, n2):
-                sym = _trace_product(self.x_ops[k], np.asarray(xj_rho + rho_xj))
-                v[j, k] = v[k, j] = sym.real - 2.0 * mean[j] * mean[k]
-        return mean, v
+        mean, second = self._moments(rho)
+        return mean, second - 2.0 * np.outer(mean, mean)
 
     def truncation_diagnostic(self, rho: np.ndarray) -> float:
         """Largest per-mode population of the top two Fock levels."""
@@ -408,10 +352,10 @@ class DenseBosonicEngine(_DenseEngine):
 
     def check_truncation(self, rho: np.ndarray):
         diag = self.truncation_diagnostic(rho)
-        if diag > self.truncation_threshold:
+        if diag > _TRUNCATION_THRESHOLD:
             raise TruncationError(
                 f"top-two Fock level population {diag:.3e} exceeds "
-                f"{self.truncation_threshold:.1e}; increase fock_dim"
+                f"{_TRUNCATION_THRESHOLD:.1e}; increase fock_dim"
             )
 
 
@@ -454,22 +398,9 @@ class DenseFermionicEngine(_DenseEngine):
         self.w_ops = jordan_wigner_majoranas(n)
         self._self_test()
 
-        h = np.zeros((self.dim, self.dim), dtype=complex)
-        for j in range(2 * n):
-            for k in range(2 * n):
-                coeff = model.hamiltonian[j, k]
-                if coeff == 0:
-                    continue
-                h += 0.5j * coeff * (self.w_ops[j] @ self.w_ops[k])
-        self.hamiltonian_op = h
-
-        self.f_ops = []
-        for row in model.f:
-            op = np.zeros((self.dim, self.dim), dtype=complex)
-            for k, coeff in enumerate(row):
-                if coeff != 0:
-                    op += coeff * self.w_ops[k]
-            self.f_ops.append(op)
+        self._zero = np.zeros((self.dim, self.dim), dtype=complex)
+        self.hamiltonian_op = _quadratic(0.5j * model.hamiltonian, self.w_ops, self.w_ops, self._zero)
+        self.f_ops = [_combine(row, self.w_ops, self._zero) for row in model.f]
         self.basis_ops = self.w_ops
         self.basis_rows = model.f
         self.gamma = model.gamma
@@ -577,52 +508,38 @@ def adjoint_consistency_check(engine: _DenseEngine, observable: np.ndarray,
     return float(abs(forward - backward))
 
 
-def trace_preservation_check(engine: _DenseEngine, samples: int = 4, seed: int = 3) -> float:
+def _generator_images(engine: _DenseEngine, seed: int) -> list[np.ndarray]:
+    """L(rho) for a fixed set of seeded random density matrices."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        rho = random_density(rng, engine.dim)
-        worst = max(worst, abs(complex(np.trace(engine.liouvillian(rho)))))
-    return worst
+    return [engine.liouvillian(random_density(rng, engine.dim)) for _ in range(_CHECK_SAMPLES)]
 
 
-def hermiticity_preservation_check(engine: _DenseEngine, samples: int = 4, seed: int = 4) -> float:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        rho = random_density(rng, engine.dim)
-        out = engine.liouvillian(rho)
-        worst = max(worst, max_abs(out - out.conj().T))
-    return worst
+def trace_preservation_check(engine: _DenseEngine) -> float:
+    return max(abs(complex(np.trace(out))) for out in _generator_images(engine, 3))
 
 
-def moment_closure_check(model: GeneralizedLindbladModel, fock_dim: int = 20,
-                         seed: int = 7) -> dict[str, float]:
+def hermiticity_preservation_check(engine: _DenseEngine) -> float:
+    return max(max_abs(out - out.conj().T) for out in _generator_images(engine, 4))
+
+
+def moment_closure_check(model: GeneralizedLindbladModel, fock_dim: int = 20) -> dict[str, float]:
     """Compare dense moment derivatives at t = 0 with the drift/diffusion form.
 
     The test state is a random density matrix supported away from the Fock
     truncation edge (bosonic) or fully generic (fermionic), so the dense side
-    never trusts the covariance machinery being validated.
+    never trusts the covariance machinery being validated. The moments are
+    read from L(rho) with the same traces that read them from rho.
     """
     from . import bosonic as _bosonic
     from . import fermionic as _fermionic
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     if model.flavor == BOSONIC:
         engine = DenseBosonicEngine(model, fock_dim)
-        support = max(2, fock_dim // 2 - 2)
-        rho = _supported_density(rng, engine, support)
+        rho = _supported_density(rng, engine, max(2, fock_dim // 2 - 2))
         mean, v = engine.extract_mean_and_v(rho)
-        rho_dot = engine.liouvillian(rho)
-        n2 = 2 * model.n_modes
-        dmean = np.array([_trace_product(x, rho_dot).real for x in engine.x_ops])
-        dv = np.zeros((n2, n2))
-        for j in range(n2):
-            xj_dot = engine.x_ops[j] @ rho_dot
-            dot_xj = rho_dot @ engine.x_ops[j]
-            for k in range(j, n2):
-                sym = _trace_product(engine.x_ops[k], np.asarray(xj_dot + dot_xj)).real
-                dv[j, k] = dv[k, j] = sym - 2.0 * (dmean[j] * mean[k] + mean[j] * dmean[k])
+        dmean, dsecond = engine._moments(engine.liouvillian(rho))
+        dv = dsecond - 2.0 * (np.outer(dmean, mean) + np.outer(mean, dmean))
         dd = _bosonic.build_drift_diffusion(model)
         return {
             "mean": max_abs(dmean - dd.a @ mean),
@@ -634,15 +551,7 @@ def moment_closure_check(model: GeneralizedLindbladModel, fock_dim: int = 20,
     rho = 0.5 * (rho + _parity_reflect(rho, model.n_modes))   # keep the state parity even
     rho /= np.trace(rho).real
     sigma = engine.extract_sigma(rho)
-    rho_dot = engine.liouvillian(rho)
-    n2 = 2 * model.n_modes
-    dsigma = np.zeros((n2, n2))
-    for j in range(n2):
-        for k in range(j + 1, n2):
-            comm = engine.w_ops[j] @ engine.w_ops[k] - engine.w_ops[k] @ engine.w_ops[j]
-            val = (1j * _trace_product(comm, rho_dot)).real
-            dsigma[j, k] = val
-            dsigma[k, j] = -val
+    dsigma = engine.extract_sigma(engine.liouvillian(rho))
     dd = _fermionic.build_drift_diffusion(model)
     return {"covariance": max_abs(dsigma - (dd.x @ sigma + sigma @ dd.x.T + dd.y))}
 
@@ -684,7 +593,7 @@ def dense_negativity_bosonic(rho: np.ndarray, dims: tuple[int, int]) -> float:
     return float(np.log(np.sum(np.abs(eigs))))
 
 
-def dense_negativity_fermionic(rho: np.ndarray, parity_tol: float = 1e-10) -> float:
+def dense_negativity_fermionic(rho: np.ndarray) -> float:
     """ln of the trace norm of the partial time-reversal over the second mode.
 
     The density matrix is expanded in ordered Majorana monomials; partial
@@ -710,7 +619,7 @@ def dense_negativity_fermionic(rho: np.ndarray, parity_tol: float = 1e-10) -> fl
             continue
         phase = 1j ** (bits[2] + bits[3])
         transformed += coeff * phase * monomial
-    if odd_weight > parity_tol * max(1.0, max_abs(rho)):
+    if odd_weight > 1e-10 * max(1.0, max_abs(rho)):
         raise DomainError(
             f"state is not parity even (odd Majorana weight {odd_weight:.3e})"
         )
@@ -763,10 +672,5 @@ def fermionic_gibbs_state(kernel, n_modes: int) -> np.ndarray:
     if k.shape != (2 * n_modes, 2 * n_modes):
         raise StructuralError(f"kernel must be {2 * n_modes}x{2 * n_modes}, got {k.shape}")
     w = jordan_wigner_majoranas(n_modes)
-    quad = np.zeros((2 ** n_modes, 2 ** n_modes), dtype=complex)
-    for j in range(2 * n_modes):
-        for kk in range(2 * n_modes):
-            if k[j, kk] != 0:
-                quad += 0.5j * k[j, kk] * (w[j] @ w[kk])
-    rho = expm(quad)
+    rho = expm(_quadratic(0.5j * k, w, w, np.zeros((2 ** n_modes, 2 ** n_modes), dtype=complex)))
     return rho / np.trace(rho).real

@@ -388,6 +388,7 @@ class TestWigner:
         state = bosonic.GaussianState(np.zeros(2), np.eye(2))
         assert bosonic.wigner(state, [30.0, 0.0]) <= 1e-100
 
+    @pytest.mark.slow
     def test_normalization_by_quadrature(self):
         state = bosonic.GaussianState(np.array([0.4, -0.2]), np.array([[1.5, 0.2], [0.2, 0.9]]))
         xs = np.linspace(-8.0, 8.0, 501)

@@ -231,6 +231,15 @@ class TestTrajectorySerialization:
         for writer in (io.fermionic_trajectory_csv, io.fermionic_trajectory_json):
             assert writer(times, traj) == writer(times, list(traj))
 
+    def test_bosonic_writers_reject_fermionic_trajectory(self):
+        from conftest import fermionic_decay_model
+
+        dd = fermionic.build_drift_diffusion(fermionic_decay_model())
+        traj = fermionic.propagate_covariance(dd, np.zeros((2, 2)), [0.0, 1.0])
+        for writer in (io.bosonic_trajectory_csv, io.bosonic_trajectory_json):
+            with pytest.raises(StructuralError, match="fermionic"):
+                writer(traj)
+
     def test_json_trajectory(self):
         dd = bosonic.build_drift_diffusion(damped_oscillator_model())
         traj = bosonic.propagate_covariance(dd, np.eye(2), [0.0, 1.0])

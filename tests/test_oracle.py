@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.linalg import expm
 
 import glme
 from glme import bosonic, fermionic, model, oracle
@@ -34,24 +36,23 @@ class TestDenseBosonicEngine:
             expected = (1.0 + 2.0 * np.exp(-gamma * t)) * np.eye(2)
             assert np.max(np.abs(v - expected)) <= 1e-6
 
-    def test_rk4_agrees_with_exact_exponential(self):
-        m = damped_oscillator_model(gamma=0.4, omega=1.0, nbar=0.1)
-        engine = oracle.DenseBosonicEngine(m, fock_dim=12)
-        rho0 = oracle.fock_thermal(0.3, 12)
-        times = np.array([0.0, 0.7])
-        ref = engine.evolve(rho0, times, method="expm")[-1]
-        rk4 = engine.evolve(rho0, times, method="rk4")[-1]
-        assert np.max(np.abs(ref - rk4)) <= 1e-10
-
     def test_krylov_agrees_with_exact_exponential(self):
+        # the default method is "krylov"
         m = damped_oscillator_model(gamma=0.4, omega=1.0, nbar=0.1)
         engine = oracle.DenseBosonicEngine(m, fock_dim=12)
         rho0 = oracle.fock_thermal(0.3, 12)
         times = np.linspace(0.0, 1.5, 4)
         ref = engine.evolve(rho0, times, method="expm")
-        kry = engine.evolve(rho0, times, method="krylov")
+        kry = engine.evolve(rho0, times)
         dev = max(np.max(np.abs(a - b)) for a, b in zip(ref, kry))
         assert dev <= 1e-10
+
+    @pytest.mark.parametrize("times,method", [([0.0, 1.0], "rk4"), ([0.0, 1.0, 1.0], "krylov"),
+                                              ([0.0, 2.0, 1.0], "expm")])
+    def test_evolve_rejects_unknown_method_and_non_increasing_grid(self, times, method):
+        engine = oracle.DenseBosonicEngine(damped_oscillator_model(), fock_dim=6)
+        with pytest.raises(StructuralError):
+            engine.evolve(engine.vacuum(), times, method=method)
 
     def test_truncation_diagnostic(self):
         m = damped_oscillator_model()
@@ -78,6 +79,62 @@ class TestDenseBosonicEngine:
             assert dev <= 1e-12
             dev_adj = np.max(np.abs(direct.liouvillian_adjoint(rho) - mixed.liouvillian_adjoint(rho)))
             assert dev_adj <= 1e-12
+
+
+def _relative_deviation(got, ref) -> float:
+    got = got.toarray() if sp.issparse(got) else np.asarray(got)
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
+def _quadratures(n_modes, fock_dim) -> list[np.ndarray]:
+    """q_1, p_1, ..., q_N, p_N built from Kronecker-embedded ladder operators."""
+    a = np.diag(np.sqrt(np.arange(1.0, fock_dim)), 1)
+    out = []
+    for j in range(n_modes):
+        a_j = np.eye(1)
+        for site in range(n_modes):
+            a_j = np.kron(a_j, a if site == j else np.eye(fock_dim))
+        out += [(a_j.T + a_j) / np.sqrt(2.0), 1j * (a_j.T - a_j) / np.sqrt(2.0)]
+    return out
+
+
+def _assert_operators_match_definitions(engine, m, ops, h_scale):
+    """H = h_scale * sum_jk h_jk o_j o_k, f_l = sum_k F_lk o_k, K = sum_jk Gamma_jk f_k^dag f_j."""
+    n2 = len(ops)
+    h_ref = h_scale * sum(m.hamiltonian[j, k] * ops[j] @ ops[k] for j in range(n2) for k in range(n2))
+    f_ref = [sum(m.f[l, k] * ops[k] for k in range(n2)) for l in range(m.f.shape[0])]
+    k_ref = sum(m.gamma[j, k] * f_ref[k].conj().T @ f_ref[j]
+                for j in range(len(f_ref)) for k in range(len(f_ref)))
+    assert _relative_deviation(engine.hamiltonian_op, h_ref) <= 1e-13
+    for got, ref in zip(engine.f_ops, f_ref, strict=True):
+        assert _relative_deviation(got, ref) <= 1e-13
+    assert _relative_deviation(engine._k_op, k_ref) <= 1e-13
+
+
+class TestOperatorBuilders:
+    @pytest.mark.parametrize("n_modes,fock_dim", [(1, 12), (2, 8), (2, 9)])
+    def test_bosonic_operators_match_double_sums(self, rng, n_modes, fock_dim):
+        # dimensions 12 and 64 keep dense operators, 81 sparse ones
+        m = random_bosonic_model(rng, n_modes, 2 * n_modes + 1)
+        engine = oracle.DenseBosonicEngine(m, fock_dim=fock_dim)
+        assert sp.issparse(engine.hamiltonian_op) == (engine.dim > 64)
+        _assert_operators_match_definitions(engine, m, _quadratures(n_modes, fock_dim), 0.5)
+
+    def test_fermionic_operators_match_double_sums(self, rng):
+        m = random_fermionic_model(rng, 3, 5)
+        engine = oracle.DenseFermionicEngine(m)
+        _assert_operators_match_definitions(engine, m, oracle.jordan_wigner_majoranas(3), 0.5j)
+
+    def test_fermionic_gibbs_state_is_normalized_exponential(self, rng):
+        n_modes = 2
+        kernel = rng.standard_normal((2 * n_modes, 2 * n_modes))
+        kernel = kernel - kernel.T
+        w = oracle.jordan_wigner_majoranas(n_modes)
+        quad = sum(0.5j * kernel[j, k] * w[j] @ w[k]
+                   for j in range(2 * n_modes) for k in range(2 * n_modes))
+        ref = expm(quad)
+        ref /= np.trace(ref).real
+        assert _relative_deviation(oracle.fermionic_gibbs_state(kernel, n_modes), ref) <= 1e-13
 
 
 def _superoperator_deviation(engine, rng) -> float:
