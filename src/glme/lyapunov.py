@@ -144,25 +144,30 @@ def _flow(block: np.ndarray, a_norm: float, dt: float) -> tuple[np.ndarray, np.n
     return e, m
 
 
-def _propagate_exact(a, q, xs, ys, times, structure):
-    """Fill xs[1:] (and ys[1:]) in place with the cached flow of each distinct step.
+def grid_steps(times: np.ndarray) -> np.ndarray:
+    """Steps of an increasing grid; all set to h = (t_end - t0) / (T - 1) when uniform.
 
-    Steps within 4 ulps of h = (t_end - t0) / (T - 1), as ``np.linspace``
-    gives them, are all set to h, so a uniform grid takes a single flow.
+    A grid is uniform when every step lies within 4 ulps of h, as
+    ``np.linspace`` gives them, so such a grid has exactly one distinct step.
     """
+    steps = np.diff(times)
+    if steps.size:
+        h = (times[-1] - times[0]) / steps.size
+        if np.max(np.abs(steps - h)) <= 4.0 * np.spacing(max(abs(times[0]), abs(times[-1]))):
+            steps[:] = h
+    return steps
+
+
+def _propagate_exact(a, q, xs, ys, times, structure):
+    """Fill xs[1:] (and ys[1:]) in place with the cached flow of each distinct step."""
     n = a.shape[0]
     block = np.zeros((2 * n, 2 * n))
     block[:n, :n] = -a
     block[:n, n:] = q
     block[n:, n:] = a.T
     a_norm = float(np.abs(a).sum(axis=0).max())
-    steps = np.diff(times)
-    if steps.size:
-        h = (times[-1] - times[0]) / steps.size
-        if np.max(np.abs(steps - h)) <= 4.0 * np.spacing(max(abs(times[0]), abs(times[-1]))):
-            steps[:] = h
     flows = {}
-    for i, dt in enumerate(steps.tolist(), start=1):
+    for i, dt in enumerate(grid_steps(times).tolist(), start=1):
         if dt not in flows:
             flows[dt] = _flow(block, a_norm, dt)
         e, m = flows[dt]

@@ -5,9 +5,11 @@ matrix algebra in small dense spaces, without assuming Gaussianity or
 trusting the moment machinery under test. Each engine applies its generator
 in operator form (``liouvillian`` and the Heisenberg ``liouvillian_adjoint``)
 and also assembles it once, on demand, as a sparse CSR superoperator on
-row-major vectorized states. Evolution uses the dense exponential of that
-matrix for small dimensions and ``scipy.sparse.linalg.expm_multiply`` on it
-for the larger ones.
+row-major vectorized states. Evolution uses ``scipy.sparse.linalg.expm_multiply``
+on that matrix at any dimension or, for small dimensions, dense exponentials
+of its invariant sectors: a quadratic Hamiltonian with linear channels never
+changes the parity of m + n in |m><n| (the Jordan-Wigner parities for
+fermions), so the matrix is block diagonal up to a permutation.
 """
 
 from __future__ import annotations
@@ -113,6 +115,21 @@ def _lazy_operator(mat: sp.csr_matrix) -> LinearOperator:
 
     return LinearOperator(mat.shape, matvec=mat.dot, rmatvec=adjoint,
                           matmat=mat.dot, rmatmat=adjoint, dtype=mat.dtype)
+
+
+def _sectors(mat: sp.csr_matrix) -> list[np.ndarray]:
+    """Sorted index arrays of the weakly connected components of the pattern of ``mat``.
+
+    The graph is built from ``indptr``/``indices`` with unit weights, so no
+    stored entry is lost whatever its value. ``mat`` has no entry between two
+    components, so its exponential is the direct sum of theirs.
+    """
+    # imported here: loading csgraph costs every `import glme` about 25 ms and 1 MB
+    from scipy.sparse.csgraph import connected_components
+
+    pattern = sp.csr_matrix((np.ones(mat.indices.size), mat.indices, mat.indptr), shape=mat.shape)
+    count, labels = connected_components(pattern, directed=True, connection="weak")
+    return [np.flatnonzero(labels == c) for c in range(count)]
 
 
 def _trace_product(a, rho: np.ndarray) -> complex:
@@ -221,7 +238,11 @@ class _DenseEngine:
         """Propagate the master equation through the grid; first time is rho0.
 
         "krylov" applies ``expm_multiply`` to the superoperator at any
-        dimension; "expm" takes dense exponentials of it, up to dimension 32.
+        dimension. "expm", up to dimension 32, takes the dense exponential of
+        each invariant sector of the superoperator (see ``_sectors``) once per
+        distinct step and advances that sector's part of the state with it; a
+        sector where rho0 is exactly zero stays zero and is not exponentiated.
+        Every returned state is its own array; the first is rho0.
         """
         times = lyapunov.validate_times(times)
         rho0 = np.asarray(rho0, dtype=complex)
@@ -242,13 +263,16 @@ class _DenseEngine:
         sup = self.superoperator()
         out = [rho0]
         vec = rho0.reshape(-1)
-        cache: dict[float, np.ndarray] = {}
-        for i in range(1, times.size):
-            dt = float(times[i] - times[i - 1])
-            key = round(dt, 15)
-            if key not in cache:
-                cache[key] = expm((sup * dt).toarray())
-            vec = cache[key] @ vec
+        sectors = [idx for idx in _sectors(sup) if np.any(vec[idx])]
+        blocks = [sup[idx][:, idx].toarray() for idx in sectors]
+        flows = {}
+        for dt in lyapunov.grid_steps(times).tolist():
+            if dt not in flows:
+                flows[dt] = [expm(block * dt) for block in blocks]
+            step = np.zeros_like(vec)
+            for idx, flow in zip(sectors, flows[dt]):
+                step[idx] = flow @ vec[idx]
+            vec = step
             out.append(vec.reshape(self.dim, self.dim))
         return out
 
@@ -260,15 +284,15 @@ class _DenseEngine:
         op = _lazy_operator(sup)
         trace_a = complex(sup.trace())
         v0 = rho0.reshape(-1)
-        diffs = np.diff(times)
-        if times.size > 2 and max_abs(diffs - diffs[0]) < 1e-12 * max(1.0, abs(float(diffs[0]))):
+        steps = lyapunov.grid_steps(times)
+        if steps.size > 1 and np.all(steps == steps[0]):
             span = float(times[-1] - times[0])
             rows = expm_multiply(op, v0, start=0.0, stop=span, num=times.size,
                                  endpoint=True, traceA=trace_a)
             return [row.reshape(self.dim, self.dim) for row in rows]
         out = [rho0]
         vec = v0
-        for dt in diffs:
+        for dt in steps:
             vec = expm_multiply(op, vec, start=0.0, stop=float(dt), num=2,
                                 endpoint=True, traceA=trace_a)[-1]
             out.append(vec.reshape(self.dim, self.dim))

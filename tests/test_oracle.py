@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 import glme
 from glme import bosonic, fermionic, model, oracle
@@ -181,6 +182,112 @@ class TestSuperoperator:
         engine = oracle.DenseBosonicEngine(random_bosonic_model(rng, 2), fock_dim=6)
         with pytest.raises(StructuralError, match="32"):
             engine.evolve(engine.vacuum(), [0.0, 1.0], method="expm")
+
+
+def _full_exponential_evolution(engine, rho0, times) -> list[np.ndarray]:
+    """The state on the grid from the dense exponential of the whole superoperator."""
+    dense = engine.superoperator().toarray()
+    vec = rho0.reshape(-1)
+    out = [rho0]
+    for dt in np.diff(times):
+        vec = expm(dense * dt) @ vec
+        out.append(vec.reshape(engine.dim, engine.dim))
+    return out
+
+
+def _dark_third_mode_model(rng):
+    """Three fermionic modes; the third appears in neither H nor any channel."""
+    inner = random_fermionic_model(rng, 2)
+    h = np.zeros((6, 6))
+    h[:4, :4] = inner.hamiltonian
+    f = np.zeros((inner.f.shape[0], 6), dtype=complex)
+    f[:, :4] = inner.f
+    return model.GeneralizedLindbladModel(flavor="fermionic", n_modes=3, hamiltonian=h,
+                                          f=f, gamma=inner.gamma)
+
+
+def _squeezing_only_model():
+    """H = (q^2 - p^2) / 2 = (a^2 + a^dag^2) / 2 with no decoherence."""
+    f = model.ladder_to_canonical(np.array([[1.0, 0.0]], dtype=complex), "bosonic")
+    return model.GeneralizedLindbladModel(flavor="bosonic", n_modes=1,
+                                          hamiltonian=np.diag([1.0, -1.0]), f=f,
+                                          gamma=np.zeros((1, 1), dtype=complex))
+
+
+def _counting_expm(monkeypatch) -> list[tuple[int, int]]:
+    shapes = []
+    monkeypatch.setattr(oracle, "expm", lambda m: shapes.append(m.shape) or expm(m))
+    return shapes
+
+
+class TestSectorExponential:
+    times = np.array([0.0, 0.3, 1.0, 1.2, 2.0])
+
+    @pytest.mark.parametrize("build,sectors", [
+        # generic quadratic H with squeezing terms: the parity of m + n
+        (lambda rng: oracle.DenseBosonicEngine(random_bosonic_model(rng, 1), fock_dim=12), 2),
+        # the dark mode keeps its ket and bra occupations: 4 x 2 parity sectors
+        (lambda rng: oracle.DenseFermionicEngine(_dark_third_mode_model(rng)), 8),
+        # purely imaginary couplings still join states: the parities of m and of n
+        (lambda rng: oracle.DenseBosonicEngine(_squeezing_only_model(), fock_dim=12), 4),
+    ])
+    def test_matches_full_exponential(self, rng, build, sectors):
+        engine = build(rng)
+        assert len(oracle._sectors(engine.superoperator())) == sectors
+        rho0 = oracle.random_density(rng, engine.dim)
+        got = engine.evolve(rho0, self.times, method="expm")
+        ref = _full_exponential_evolution(engine, rho0, self.times)
+        for a, b in zip(got, ref, strict=True):
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+    def test_sectors_partition_the_states(self, rng):
+        engine = oracle.DenseFermionicEngine(_dark_third_mode_model(rng))
+        sup = engine.superoperator()
+        sectors = oracle._sectors(sup)
+        assert np.array_equal(np.sort(np.concatenate(sectors)), np.arange(engine.dim ** 2))
+        for idx in sectors:
+            outside = np.setdiff1d(np.arange(engine.dim ** 2), idx)
+            assert sup[idx][:, outside].nnz == 0
+            assert sup[outside][:, idx].nnz == 0
+
+    @pytest.mark.parametrize("times,steps", [(np.linspace(0.0, 1.0, 4), 1),
+                                             (np.array([0.0, 0.5, 1.0, 1.25]), 2)])
+    def test_one_exponential_per_sector_and_distinct_step(self, rng, monkeypatch, times, steps):
+        engine = oracle.DenseBosonicEngine(random_bosonic_model(rng, 1), fock_dim=30)
+        shapes = _counting_expm(monkeypatch)
+        engine.evolve(oracle.random_density(rng, engine.dim), times, method="expm")
+        assert shapes == [(450, 450)] * (2 * steps)
+
+    def test_sector_without_weight_is_skipped(self, rng, monkeypatch):
+        # a diagonal state has no weight where m + n is odd
+        engine = oracle.DenseBosonicEngine(random_bosonic_model(rng, 1), fock_dim=30)
+        shapes = _counting_expm(monkeypatch)
+        rhos = engine.evolve(oracle.fock_thermal(0.2, 30), np.linspace(0.0, 1.0, 4), method="expm")
+        assert shapes == [(450, 450)]
+        odd = np.add.outer(np.arange(30), np.arange(30)) % 2 == 1
+        assert all(np.all(rho[odd] == 0) for rho in rhos)
+
+    def test_returned_states_do_not_alias(self, rng):
+        engine = oracle.DenseBosonicEngine(random_bosonic_model(rng, 1), fock_dim=8)
+        rhos = engine.evolve(oracle.random_density(rng, engine.dim), np.linspace(0.0, 1.0, 4),
+                             method="expm")
+        kept = rhos[2].copy()
+        rhos[1][...] = 0.0
+        assert np.array_equal(rhos[2], kept)
+        for i in range(len(rhos)):
+            for j in range(i):
+                assert not np.shares_memory(rhos[i], rhos[j])
+
+    @pytest.mark.parametrize("times,calls", [(np.linspace(0.0, 1.5, 4), 1),
+                                             (np.linspace(-1.0, 0.5, 4), 1),
+                                             (np.array([0.0, 0.2, 0.9, 1.5]), 3)])
+    def test_krylov_takes_one_interval_call_on_uniform_grid(self, rng, monkeypatch, times, calls):
+        engine = oracle.DenseBosonicEngine(random_bosonic_model(rng, 1), fock_dim=6)
+        counted = []
+        monkeypatch.setattr(oracle, "expm_multiply",
+                            lambda *a, **k: counted.append(k["num"]) or expm_multiply(*a, **k))
+        engine.evolve(engine.vacuum(), times, method="krylov")
+        assert len(counted) == calls
 
 
 class TestDenseFermionicEngine:
