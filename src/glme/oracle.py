@@ -5,11 +5,13 @@ matrix algebra in small dense spaces, without assuming Gaussianity or
 trusting the moment machinery under test. Each engine applies its generator
 in operator form (``liouvillian`` and the Heisenberg ``liouvillian_adjoint``)
 and also assembles it once, on demand, as a sparse CSR superoperator on
-row-major vectorized states. Evolution uses ``scipy.sparse.linalg.expm_multiply``
-on that matrix at any dimension or, for small dimensions, dense exponentials
-of its invariant sectors: a quadratic Hamiltonian with linear channels never
-changes the parity of m + n in |m><n| (the Jordan-Wigner parities for
-fermions), so the matrix is block diagonal up to a permutation.
+row-major vectorized states. That matrix is block diagonal up to a
+permutation: a quadratic Hamiltonian with linear channels never changes the
+parity of m + n in |m><n| (the Jordan-Wigner parities for fermions).
+Evolution touches only the invariant sectors the initial state occupies,
+with ``scipy.sparse.linalg.expm_multiply`` at any dimension or, for small
+dimensions, one dense exponential per sector. A sector whose part of the
+state is below the rounding floor dim * eps * ||rho0|| stays exactly zero.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import LinearOperator, expm_multiply
 
 from . import lyapunov
-from ._util import max_abs
+from ._util import max_abs, require_finite
 from .errors import DomainError, StructuralError, TruncationError
 from .model import BOSONIC, FERMIONIC, GeneralizedLindbladModel
 
@@ -132,6 +134,18 @@ def _sectors(mat: sp.csr_matrix) -> list[np.ndarray]:
     return [np.flatnonzero(labels == c) for c in range(count)]
 
 
+def _occupied_sectors(mat: sp.csr_matrix, vec: np.ndarray, dim: int) -> list[np.ndarray]:
+    """The sectors of ``mat`` (see ``_sectors``) that carry weight of ``vec``.
+
+    ``vec`` is a vectorized dim x dim state. A sector whose part of it has a
+    2-norm of at most dim * eps * ||vec||, below the rounding error of forming
+    such a state by matrix products, counts as empty: the evolution takes
+    that part as exactly zero, and it stays zero.
+    """
+    floor = dim * np.finfo(float).eps * np.linalg.norm(vec)
+    return [idx for idx in _sectors(mat) if np.linalg.norm(vec[idx]) > floor]
+
+
 def _trace_product(a, rho: np.ndarray) -> complex:
     """Tr(a rho) for sparse or dense ``a``."""
     if sp.issparse(a):
@@ -237,15 +251,17 @@ class _DenseEngine:
     def evolve(self, rho0: np.ndarray, times, method: str = "krylov") -> list[np.ndarray]:
         """Propagate the master equation through the grid; first time is rho0.
 
-        "krylov" applies ``expm_multiply`` to the superoperator at any
-        dimension. "expm", up to dimension 32, takes the dense exponential of
-        each invariant sector of the superoperator (see ``_sectors``) once per
-        distinct step and advances that sector's part of the state with it; a
-        sector where rho0 is exactly zero stays zero and is not exponentiated.
+        Both methods evolve only the invariant sectors of the superoperator
+        that rho0 occupies (see ``_occupied_sectors``); a sector where rho0 is
+        below the rounding floor dim * eps * ||rho0|| is zero in every returned
+        state. "krylov" applies ``expm_multiply`` to the superoperator
+        restricted to the occupied sectors, at any dimension. "expm", up to
+        dimension 32, takes the dense exponential of each occupied sector once
+        per distinct step and advances that sector's part of the state with it.
         Every returned state is its own array; the first is rho0.
         """
         times = lyapunov.validate_times(times)
-        rho0 = np.asarray(rho0, dtype=complex)
+        rho0 = require_finite(np.asarray(rho0, dtype=complex), "rho0")
         if rho0.shape != (self.dim, self.dim):
             raise StructuralError(f"state must be {self.dim}x{self.dim}, got {rho0.shape}")
         if method == "expm":
@@ -263,7 +279,7 @@ class _DenseEngine:
         sup = self.superoperator()
         out = [rho0]
         vec = rho0.reshape(-1)
-        sectors = [idx for idx in _sectors(sup) if np.any(vec[idx])]
+        sectors = _occupied_sectors(sup, vec, self.dim)
         blocks = [sup[idx][:, idx].toarray() for idx in sectors]
         flows = {}
         for dt in lyapunov.grid_steps(times).tolist():
@@ -281,20 +297,32 @@ class _DenseEngine:
         # fock_dim 16 it takes 38 MB, which callers holding engines and their
         # density matrices would otherwise keep as well.
         sup = self._superop if self._superop is not None else self._assemble_superoperator()
+        v0 = rho0.reshape(-1)
+        keep = np.zeros(v0.size, dtype=bool)
+        for sector in _occupied_sectors(sup, v0, self.dim):
+            keep[sector] = True
+        if keep.any() and not keep.all():
+            idx = np.flatnonzero(keep)
+            sup = sup[idx][:, idx]
+        else:   # nothing to drop, or rho0 = 0, which S itself keeps at zero
+            idx = slice(None)
         op = _lazy_operator(sup)
         trace_a = complex(sup.trace())
-        v0 = rho0.reshape(-1)
         steps = lyapunov.grid_steps(times)
         if steps.size > 1 and np.all(steps == steps[0]):
             span = float(times[-1] - times[0])
-            rows = expm_multiply(op, v0, start=0.0, stop=span, num=times.size,
-                                 endpoint=True, traceA=trace_a)
-            return [row.reshape(self.dim, self.dim) for row in rows]
+            rows = expm_multiply(op, v0[idx], start=0.0, stop=span, num=times.size,
+                                 endpoint=True, traceA=trace_a)[1:]
+        else:
+            rows, vec = [], v0[idx]
+            for dt in steps:
+                vec = expm_multiply(op, vec, start=0.0, stop=float(dt), num=2,
+                                    endpoint=True, traceA=trace_a)[-1]
+                rows.append(vec)
         out = [rho0]
-        vec = v0
-        for dt in steps:
-            vec = expm_multiply(op, vec, start=0.0, stop=float(dt), num=2,
-                                endpoint=True, traceA=trace_a)[-1]
+        for row in rows:
+            vec = np.zeros_like(v0)
+            vec[idx] = row
             out.append(vec.reshape(self.dim, self.dim))
         return out
 

@@ -55,6 +55,14 @@ class TestDenseBosonicEngine:
         with pytest.raises(StructuralError):
             engine.evolve(engine.vacuum(), times, method=method)
 
+    @pytest.mark.parametrize("method", ["expm", "krylov"])
+    def test_evolve_rejects_non_finite_state(self, method):
+        engine = oracle.DenseBosonicEngine(damped_oscillator_model(), fock_dim=6)
+        rho0 = engine.vacuum()
+        rho0[1, 1] = np.nan
+        with pytest.raises(StructuralError, match="non-finite"):
+            engine.evolve(rho0, [0.0, 1.0], method=method)
+
     def test_truncation_diagnostic(self):
         m = damped_oscillator_model()
         engine = oracle.DenseBosonicEngine(m, fock_dim=10)
@@ -266,6 +274,49 @@ class TestSectorExponential:
         assert shapes == [(450, 450)]
         odd = np.add.outer(np.arange(30), np.arange(30)) % 2 == 1
         assert all(np.all(rho[odd] == 0) for rho in rhos)
+
+    @pytest.mark.parametrize("noise,shapes", [(1e-17, [(450, 450)]), (1e-12, [(450, 450)] * 2)])
+    def test_sector_below_rounding_floor_is_skipped(self, rng, monkeypatch, noise, shapes):
+        # rounding-sized weight where m + n is odd does not count; weight above it does
+        engine = oracle.DenseBosonicEngine(random_bosonic_model(rng, 1), fock_dim=30)
+        odd = np.add.outer(np.arange(30), np.arange(30)) % 2 == 1
+        rho0 = oracle.fock_thermal(0.2, 30) + noise * odd
+        counted = _counting_expm(monkeypatch)
+        rhos = engine.evolve(rho0, np.linspace(0.0, 1.0, 4), method="expm")
+        assert counted == shapes
+        if len(shapes) == 1:
+            assert all(np.all(rho[odd] == 0) for rho in rhos[1:])
+
+    @pytest.mark.parametrize("times", [np.linspace(0.0, 1.5, 4), np.array([0.0, 0.2, 0.9, 1.5])])
+    @pytest.mark.parametrize("fock_dim", [5, 6])
+    def test_krylov_evolves_only_the_occupied_sector(self, rng, monkeypatch, fock_dim, times):
+        engine = oracle.DenseBosonicEngine(random_bosonic_model(rng, 2, 5), fock_dim=fock_dim)
+        rho0 = np.kron(oracle.fock_thermal(0.3, fock_dim), oracle.fock_squeezed_vacuum(0.2, fock_dim))
+        shapes = []
+        monkeypatch.setattr(oracle, "expm_multiply",
+                            lambda op, *a, **k: shapes.append(op.shape) or expm_multiply(op, *a, **k))
+        got = engine.evolve(rho0, times, method="krylov")
+        # the states |m1 m2><n1 n2| with m1 + m2 + n1 + n2 even
+        levels = np.add.outer(np.arange(fock_dim), np.arange(fock_dim)).reshape(-1)
+        even = np.add.outer(levels, levels).reshape(-1) % 2 == 0
+        assert set(shapes) == {(even.sum(), even.sum())}
+        full = engine.superoperator()
+        vec, ref = rho0.reshape(-1), [rho0]
+        for dt in np.diff(times):
+            vec = expm_multiply(full * dt, vec)
+            ref.append(vec.reshape(engine.dim, engine.dim))
+        for a, b in zip(got, ref, strict=True):
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+            assert np.all(a.reshape(-1)[~even] == 0)
+
+    @pytest.mark.parametrize("method,times", [("expm", np.linspace(0.0, 1.0, 4)),
+                                              ("krylov", np.linspace(0.0, 1.0, 4)),
+                                              ("krylov", np.array([0.0, 0.5, 1.0, 1.25]))])
+    def test_zero_state_stays_zero(self, rng, method, times):
+        engine = oracle.DenseBosonicEngine(random_bosonic_model(rng, 1), fock_dim=5)
+        rhos = engine.evolve(np.zeros((5, 5)), times, method=method)
+        assert len(rhos) == times.size
+        assert all(np.all(rho == 0) for rho in rhos)
 
     def test_returned_states_do_not_alias(self, rng):
         engine = oracle.DenseBosonicEngine(random_bosonic_model(rng, 1), fock_dim=8)
