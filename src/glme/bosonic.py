@@ -26,11 +26,14 @@ from ._util import (
 from .errors import DomainError, NumericalError, PositivityError, StructuralError
 from .model import (
     BOSONIC,
-    DEFAULT_TOL,
     GeneralizedLindbladModel,
     require_valid,
     symplectic_form,
 )
+
+# Slack below the uncertainty bounds (V + i Omega >= 0, det V >= 1) that still
+# counts as physical.
+PHYSICALITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -134,8 +137,7 @@ class Trajectory:
         return self.states[index]
 
 
-def build_drift_diffusion(model: GeneralizedLindbladModel,
-                          tol: float = DEFAULT_TOL) -> BosonicDriftDiffusion:
+def build_drift_diffusion(model: GeneralizedLindbladModel) -> BosonicDriftDiffusion:
     """Assemble (A, D) from a validated bosonic model.
 
     A = Omega (H + Im(F^dag Gamma^T F)) and D = 2 Omega Re(F^dag Gamma^T F)
@@ -146,7 +148,7 @@ def build_drift_diffusion(model: GeneralizedLindbladModel,
     """
     if model.flavor != BOSONIC:
         raise StructuralError(f"expected a bosonic model, got {model.flavor!r}")
-    require_valid(model, tol)
+    require_valid(model)
     omega = symplectic_form(model.n_modes)
     s = model.f.conj().T @ model.gamma.T @ model.f
     a = omega @ (model.hamiltonian + s.imag)
@@ -183,22 +185,21 @@ def propagate_covariance(dd: BosonicDriftDiffusion, v0, times,
     return Trajectory(times, vs, means)
 
 
-def is_hurwitz(dd: BosonicDriftDiffusion,
-               tol: float = lyapunov.DEFAULT_HURWITZ_TOL) -> tuple[bool, float]:
+def is_hurwitz(dd: BosonicDriftDiffusion) -> tuple[bool, float]:
     """Whether the drift matrix is stable, plus its spectral abscissa."""
-    return lyapunov.is_hurwitz_matrix(dd.a, tol)
+    return lyapunov.is_hurwitz_matrix(dd.a)
 
 
-def steady_state(dd: BosonicDriftDiffusion,
-                 hurwitz_tol: float = lyapunov.DEFAULT_HURWITZ_TOL,
-                 residual_tol: float = lyapunov.DEFAULT_RESIDUAL_TOL) -> GaussianState:
+def steady_state(dd: BosonicDriftDiffusion) -> GaussianState:
     """Unique fixed point of the moment dynamics for a Hurwitz drift."""
-    v = lyapunov.steady_state(dd.a, dd.d, symmetrize, hurwitz_tol, residual_tol)
+    v = lyapunov.steady_state(dd.a, dd.d, symmetrize)
     return GaussianState(mean=np.zeros(dd.a.shape[0]), v=v)
 
 
-def check_physicality(v, tol: float = 1e-9) -> tuple[bool, float]:
+def check_physicality(v) -> tuple[bool, float]:
     """Uncertainty-relation test: V + i Omega must be positive semidefinite.
+
+    Physical means the smallest eigenvalue is at least -PHYSICALITY_TOL.
 
     ``v`` is one covariance or a (T, 2N, 2N) stack, tested with one
     ``eigvalsh``; the smallest eigenvalue over the stack is returned.
@@ -208,14 +209,14 @@ def check_physicality(v, tol: float = 1e-9) -> tuple[bool, float]:
         raise StructuralError("V must be 2N x 2N")
     omega = symplectic_form(v.shape[-1] // 2)
     min_eig = float(np.min(np.linalg.eigvalsh(v + 1j * omega)))
-    return min_eig >= -tol, min_eig
+    return min_eig >= -PHYSICALITY_TOL, min_eig
 
 
-def purity(v, tol: float = 1e-9) -> float:
-    """Gaussian purity 1/sqrt(det V); raises for sub-uncertainty covariances."""
+def purity(v) -> float:
+    """Gaussian purity 1/sqrt(det V); raises when det V < 1 - PHYSICALITY_TOL."""
     v = require_square(v, "V", dtype=float)
     det = float(np.linalg.det(symmetrize(v)))
-    if det < 1.0 - tol:
+    if det < 1.0 - PHYSICALITY_TOL:
         raise DomainError(f"det V = {det:.6e} is below the physical bound 1")
     return 1.0 / np.sqrt(max(det, 1e-300))
 

@@ -8,13 +8,12 @@ failure. Every error path emits a machine-readable JSON object
 from __future__ import annotations
 
 import functools
-import os
 import sys
 
 import click
 import numpy as np
 
-from . import bosonic, entanglement, fermionic, io, lyapunov, oracle, reservoir
+from . import bosonic, entanglement, fermionic, io, oracle, reservoir
 from .errors import (
     DomainError,
     EvaluationError,
@@ -28,13 +27,8 @@ from .errors import (
 )
 from .model import BOSONIC, FERMIONIC, validate_model
 
-_TOL_NAMES = {
-    "validate": 1e-10,
-    "hurwitz": lyapunov.DEFAULT_HURWITZ_TOL,
-    "residual": lyapunov.DEFAULT_RESIDUAL_TOL,
-    "oracle": 1e-8,
-    "freq": -1.0,  # negative means: derive from the coupling table
-}
+# oracle-check passes when every deviation is at most this.
+ORACLE_THRESHOLD = 1e-8
 
 _ERROR_CODES = {
     ParseError: ("parse", 2),
@@ -48,36 +42,13 @@ _ERROR_CODES = {
 }
 
 
-def _tolerances(tol_options: tuple[str, ...]) -> dict[str, float]:
-    tols = dict(_TOL_NAMES)
-    env = os.environ.get("GLME_DEFAULT_TOL")
-    if env is not None:
-        try:
-            base = float(env)
-        except ValueError:
-            raise ParseError(f"GLME_DEFAULT_TOL must be a float, got {env!r}")
-        for name in ("validate", "hurwitz", "residual"):
-            tols[name] = base
-    for item in tol_options:
-        if "=" not in item:
-            raise click.UsageError(f"--tol expects NAME=VALUE, got {item!r}")
-        name, _, value = item.partition("=")
-        if name not in tols:
-            raise click.UsageError(f"unknown tolerance {name!r}; known: {sorted(tols)}")
-        try:
-            tols[name] = float(value)
-        except ValueError:
-            raise click.UsageError(f"tolerance {name!r} needs a float value, got {value!r}")
-    return tols
-
-
 _MODULES = {BOSONIC: bosonic, FERMIONIC: fermionic}
 
 
-def _dynamics(model, tols: dict[str, float]):
+def _dynamics(model):
     """The model's flavor module and its validated drift/diffusion record."""
     module = _MODULES[model.flavor]
-    return module, module.build_drift_diffusion(model, tols["validate"])
+    return module, module.build_drift_diffusion(model)
 
 
 def _fail(code_name: str, exit_code: int, detail: str):
@@ -135,13 +106,11 @@ def main():
 
 @main.command()
 @click.argument("model_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--tol", "tol_options", multiple=True, help="Override a named tolerance, NAME=VALUE.")
 @_handle_errors
-def validate(model_path, tol_options):
+def validate(model_path):
     """Validate a model file and print its report."""
-    tols = _tolerances(tol_options)
     model = io.load_model(model_path)
-    report = validate_model(model, tols["validate"])
+    report = validate_model(model)
     _emit({
         "hermitian_defect": report.hermitian_defect,
         "min_gamma_eigenvalue": report.min_gamma_eigenvalue,
@@ -156,7 +125,6 @@ def validate(model_path, tol_options):
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--t-final", type=float, default=1.0, show_default=True)
 @click.option("--steps", type=int, default=100, show_default=True)
-@click.option("--method", type=click.Choice(["exact", "rk4"]), default="exact", show_default=True)
 @click.option("--times", "times_path", type=click.Path(exists=True, dir_okay=False),
               help="File of explicit times, one per line (overrides --t-final/--steps).")
 @click.option("--state", "state_path", type=click.Path(exists=True, dir_okay=False),
@@ -164,15 +132,13 @@ def validate(model_path, tol_options):
 @click.option("--output", type=click.Path(dir_okay=False), default=None,
               help="Trajectory file; '-' or absent writes to stdout.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
-@click.option("--tol", "tol_options", multiple=True)
 @_handle_errors
-def evolve(model_path, t_final, steps, method, times_path, state_path, output, fmt, tol_options):
+def evolve(model_path, t_final, steps, times_path, state_path, output, fmt):
     """Propagate a model's moments and write the trajectory."""
-    tols = _tolerances(tol_options)
     model = io.load_model(model_path)
     times = _time_grid(t_final, steps, times_path)
     initial = io.load_state(state_path) if state_path else None
-    module, dd = _dynamics(model, tols)
+    module, dd = _dynamics(model)
     boson = model.flavor == BOSONIC
     if initial is None:
         n2 = 2 * model.n_modes
@@ -183,7 +149,7 @@ def evolve(model_path, t_final, steps, method, times_path, state_path, output, f
         x0, extra = initial.sigma, {}
     else:
         raise StructuralError("initial state flavor does not match the model")
-    trajectory = module.propagate_covariance(dd, x0, times, method=method, **extra)
+    trajectory = module.propagate_covariance(dd, x0, times, **extra)
     writer = getattr(io, f"{model.flavor}_trajectory_{fmt}")
     _write_output(output, writer(trajectory) if boson else writer(trajectory.times, trajectory))
     # physical when V + i Omega >= 0 (bosons) or every |lambda| <= 1 (fermions)
@@ -194,15 +160,13 @@ def evolve(model_path, t_final, steps, method, times_path, state_path, output, f
 
 @main.command("steady-state")
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--tol", "tol_options", multiple=True)
 @_handle_errors
-def steady_state_cmd(model_path, tol_options):
+def steady_state_cmd(model_path):
     """Solve for the steady state and report the residual."""
-    tols = _tolerances(tol_options)
     model = io.load_model(model_path)
-    module, dd = _dynamics(model, tols)
-    _, abscissa = module.is_hurwitz(dd, tols["hurwitz"])
-    state = module.steady_state(dd, tols["hurwitz"], tols["residual"])
+    module, dd = _dynamics(model)
+    _, abscissa = module.is_hurwitz(dd)
+    state = module.steady_state(dd)
     if model.flavor == BOSONIC:
         key, x, a, q = "V_ss", state.v, dd.a, dd.d
     else:
@@ -219,19 +183,17 @@ def steady_state_cmd(model_path, tol_options):
 @click.option("--beta", type=float, default=None, help="Duan coefficient; flavor-specific default.")
 @click.option("--strict-paper", is_flag=True, default=False,
               help="Use the -ln(2 eta) bosonic negativity variant.")
-@click.option("--tol", "tol_options", multiple=True)
 @_handle_errors
-def entanglement_cmd(model_path, state_path, measure, alpha, beta, strict_paper, tol_options):
+def entanglement_cmd(model_path, state_path, measure, alpha, beta, strict_paper):
     """Entanglement measures for a two-mode state or model steady state."""
-    tols = _tolerances(tol_options)
     if (model_path is None) == (state_path is None):
         raise click.UsageError("provide exactly one of --model or --state")
     if model_path is not None:
         model = io.load_model(model_path)
         if model.n_modes != 2:
             raise DomainError(f"entanglement measures need two modes, got {model.n_modes}")
-        module, dd = _dynamics(model, tols)
-        state = module.steady_state(dd, tols["hurwitz"], tols["residual"])
+        module, dd = _dynamics(model)
+        state = module.steady_state(dd)
     else:
         state = io.load_state(state_path)
     if state.n_modes != 2:
@@ -260,17 +222,14 @@ def entanglement_cmd(model_path, state_path, measure, alpha, beta, strict_paper,
 @click.option("--output", required=True, type=click.Path(dir_okay=False))
 @click.option("--flavor", type=click.Choice([BOSONIC, FERMIONIC]), default=BOSONIC,
               show_default=True)
-@click.option("--tol", "tol_options", multiple=True)
 @_handle_errors
-def assemble(couplings_path, spectral_path, output, flavor, tol_options):
+def assemble(couplings_path, spectral_path, output, flavor):
     """Build a model file from microscopic couplings and reservoir spectra."""
-    tols = _tolerances(tol_options)
     table = io.load_coupling_table(couplings_path)
     spectral = io.load_spectral(spectral_path)
-    tol_freq = tols["freq"] if tols["freq"] >= 0 else None
-    model = reservoir.assemble_model(table, spectral, flavor=flavor, tol_freq=tol_freq)
+    model = reservoir.assemble_model(table, spectral, flavor=flavor)
     io.save_model(model, output)
-    report = validate_model(model, tols["validate"])
+    report = validate_model(model)
     _emit({"written": output, "n_modes": model.n_modes,
            "min_gamma_eigenvalue": report.min_gamma_eigenvalue, "is_valid": report.is_valid})
 
@@ -279,13 +238,10 @@ def assemble(couplings_path, spectral_path, output, flavor, tol_options):
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--fock-dim", type=int, default=20, show_default=True,
               help="Per-mode truncation for bosonic dense checks.")
-@click.option("--tol", "tol_options", multiple=True)
 @_handle_errors
-def oracle_check(model_path, fock_dim, tol_options):
+def oracle_check(model_path, fock_dim):
     """Run dense brute-force consistency checks against a model."""
-    tols = _tolerances(tol_options)
     model = io.load_model(model_path)
-    threshold = tols["oracle"]
     if model.flavor == BOSONIC:
         engine = oracle.DenseBosonicEngine(model, fock_dim)
     else:
@@ -302,8 +258,8 @@ def oracle_check(model_path, fock_dim, tol_options):
     closure = oracle.moment_closure_check(model, fock_dim=fock_dim)
     for key, value in closure.items():
         deviations[f"moment_closure_{key}"] = value
-    passed = all(value <= threshold for value in deviations.values())
-    _emit({"deviations": deviations, "threshold": threshold, "passed": passed})
+    passed = all(value <= ORACLE_THRESHOLD for value in deviations.values())
+    _emit({"deviations": deviations, "threshold": ORACLE_THRESHOLD, "passed": passed})
     if not passed:
         sys.exit(1)
 

@@ -16,6 +16,17 @@ from . import fermionic
 from ._util import max_abs, require_square
 from .errors import NumericalError, StructuralError
 from .bosonic import GaussianState
+from .model import symplectic_form
+
+# Fermionic mode magnitudes are clamped to 1 - CLAMP_EPS inside the inverted
+# factor of sigma_cross, so pure inputs stay finite.
+CLAMP_EPS = 1e-8
+# Slack above 1 allowed in the composite spectrum.
+COMPOSITE_TOL = 1e-9
+
+# Partial transpose of a two-mode covariance (p2 -> -p2) as entrywise signs.
+_PARTIAL_TRANSPOSE = np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0])
+_OMEGA_2 = symplectic_form(2)
 
 
 @dataclass(frozen=True)
@@ -54,11 +65,14 @@ def duan_bosonic(state, alpha: float = 1.0, beta: float = -1.0) -> DuanResult:
     return DuanResult(quantity=quantity, bound=bound, entangled_flag=quantity < bound)
 
 
-def log_negativity_bosonic(v, strict_paper: bool = False, tol: float = 1e-9) -> NegativityResult:
+def log_negativity_bosonic(v, strict_paper: bool = False) -> NegativityResult:
     """Logarithmic negativity of a two-mode Gaussian state.
 
     The auxiliary quantity eta is the smaller symplectic eigenvalue of the
-    partially transposed covariance, computed from the block determinants.
+    partially transposed covariance Vt: the smallest eigenvalue magnitude of
+    the Hermitian i LT Omega L, where Vt = L LT (Cholesky), which is similar
+    to i Omega Vt. The eigenproblem stays accurate on near-dark steady states
+    of large norm, where a closed form in block determinants cancels.
     In this covariance convention (vacuum = identity) the measure is
     max(0, -ln eta); ``strict_paper`` switches to the max(0, -ln 2 eta)
     variant, which differs by ln 2 and is kept only for comparison.
@@ -66,32 +80,25 @@ def log_negativity_bosonic(v, strict_paper: bool = False, tol: float = 1e-9) -> 
     v = require_square(v, "V", dtype=float)
     if v.shape[0] != 4:
         raise StructuralError(f"log negativity needs exactly two modes, got shape {v.shape}")
-    v1 = v[:2, :2]
-    v2 = v[2:, 2:]
-    v12 = v[:2, 2:]
-    sig = float(np.linalg.det(v2) + np.linalg.det(v1) - 2.0 * np.linalg.det(v12))
-    det_v = float(np.linalg.det(v))
-    disc = sig ** 2 - 4.0 * det_v
-    scale = max(1.0, sig ** 2, abs(det_v))
-    if disc < -tol * scale:
-        raise NumericalError(f"invalid covariance: discriminant {disc:.3e} is negative")
-    eta_sq = 0.5 * (sig - np.sqrt(max(disc, 0.0)))
-    if eta_sq < -tol * scale:
-        raise NumericalError(f"invalid covariance: eta^2 = {eta_sq:.3e} is negative")
-    eta = float(np.sqrt(max(eta_sq, 0.0)))
-    if eta <= 0.0:
+    try:
+        low = np.linalg.cholesky(v * _PARTIAL_TRANSPOSE)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("invalid covariance: not positive definite") from exc
+    eta = float(np.min(np.abs(np.linalg.eigvalsh(1j * (low.T @ _OMEGA_2 @ low)))))
+    if not eta > 0.0:
         raise NumericalError("eta vanished; covariance is singular or unphysical")
     value = -np.log(2.0 * eta) if strict_paper else -np.log(eta)
     return NegativityResult(value=float(max(0.0, value)), auxiliary_spectrum=np.array([eta]))
 
 
-def sigma_cross(sigma, clamp_eps: float = 1e-8) -> np.ndarray:
+def sigma_cross(sigma) -> np.ndarray:
     """Spectrum of the composite covariance behind the fermionic negativity.
 
     Builds ((1 - sigma^2) / 2)^{-1} blockdiag(sigma_1, -sigma_2) for a
     two-mode covariance split into mode blocks, and returns its eigenvalues,
-    which come in +-(i lambda_cross) pairs. Mode magnitudes above 1 - eps are
-    clamped to 1 - eps inside the inverted factor so pure inputs stay finite.
+    which come in +-(i lambda_cross) pairs. Mode magnitudes above
+    1 - CLAMP_EPS are clamped to 1 - CLAMP_EPS inside the inverted factor so
+    pure inputs stay finite.
     """
     sigma = fermionic._as_antisymmetric(sigma)
     if sigma.shape[0] != 4:
@@ -99,7 +106,7 @@ def sigma_cross(sigma, clamp_eps: float = 1e-8) -> np.ndarray:
     q, pairs, _singles = fermionic.schur_blocks(sigma)
     clamped_pairs = []
     for idx, lam in pairs:
-        mag = min(abs(lam), 1.0 - clamp_eps)
+        mag = min(abs(lam), 1.0 - CLAMP_EPS)
         clamped_pairs.append((idx, np.sign(lam) * mag if lam != 0 else 0.0))
     sigma_c = fermionic._rebuild_from_blocks(q, clamped_pairs, 4)
 
@@ -115,7 +122,7 @@ def sigma_cross(sigma, clamp_eps: float = 1e-8) -> np.ndarray:
     return eigs[np.argsort(eigs.imag)]
 
 
-def log_negativity_fermionic(sigma, tol: float = 1e-9) -> NegativityResult:
+def log_negativity_fermionic(sigma) -> NegativityResult:
     """Logarithmic negativity of a two-mode fermionic Gaussian state.
 
     Combines a Renyi-1/2 entropy of the composite spectrum with the Renyi-2
@@ -128,8 +135,8 @@ def log_negativity_fermionic(sigma, tol: float = 1e-9) -> NegativityResult:
     s2 = -np.log(fermionic.purity(sigma))
 
     cross = sigma_cross(sigma)
-    cross_lams = _paired_magnitudes(cross, tol)
-    if np.any(cross_lams > 1.0 + tol):
+    cross_lams = _paired_magnitudes(cross)
+    if np.any(cross_lams > 1.0 + COMPOSITE_TOL):
         raise NumericalError(
             f"composite spectrum magnitude {np.max(cross_lams):.6e} exceeds 1"
         )
@@ -161,13 +168,13 @@ def duan_fermionic(sigma, alpha: float = 1.0, beta: float = 1.0) -> DuanResult:
     return DuanResult(quantity=quantity, bound=bound, entangled_flag=quantity < bound)
 
 
-def _paired_magnitudes(eigs: np.ndarray, tol: float) -> np.ndarray:
+def _paired_magnitudes(eigs: np.ndarray) -> np.ndarray:
     if max_abs(eigs.real) > 1e-7 * max(1.0, max_abs(eigs)):
         raise NumericalError("composite spectrum is not purely imaginary")
     lams = np.sort(np.abs(eigs.imag))[::-1]
     paired = []
     for i in range(0, lams.size, 2):
-        if abs(lams[i] - lams[i + 1]) > max(tol, 1e-7 * max(1.0, lams[i])):
+        if abs(lams[i] - lams[i + 1]) > 1e-7 * max(1.0, lams[i]):
             raise NumericalError(
                 f"composite eigenvalues failed to pair: {lams[i]:.6e} vs {lams[i + 1]:.6e}"
             )

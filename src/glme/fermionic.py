@@ -18,7 +18,18 @@ from . import lyapunov
 from ._util import antisymmetrize, max_abs, require_square, require_squares
 from .bosonic import Trajectory
 from .errors import BoundaryError, StructuralError
-from .model import DEFAULT_TOL, FERMIONIC, GeneralizedLindbladModel, require_valid
+from .model import FERMIONIC, GeneralizedLindbladModel, require_valid
+
+# Slack above the physical bound |lambda| <= 1.
+PHYSICALITY_TOL = 1e-9
+# Relative gap within which two eigenvalue magnitudes of sigma count as one
+# +-(i lambda) pair.
+PAIRING_TOL = 1e-9
+# A real Schur subdiagonal entry above SCHUR_TOL times max(1, max|m|) opens a
+# 2x2 block.
+SCHUR_TOL = 1e-12
+# Modes with |lambda| >= 1 - BOUNDARY_TOL are pure: their thermal kernel diverges.
+BOUNDARY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -83,8 +94,7 @@ class GibbsKernel:
         object.__setattr__(self, "k", k)
 
 
-def build_drift_diffusion(model: GeneralizedLindbladModel,
-                          tol: float = DEFAULT_TOL) -> FermionicDriftDiffusion:
+def build_drift_diffusion(model: GeneralizedLindbladModel) -> FermionicDriftDiffusion:
     """Assemble (X, Y) from a validated fermionic model.
 
     X = G - Re(F^dag Gamma^T F) and Y = -2 Im(F^dag Gamma^T F); Hermiticity
@@ -95,7 +105,7 @@ def build_drift_diffusion(model: GeneralizedLindbladModel,
     """
     if model.flavor != FERMIONIC:
         raise StructuralError(f"expected a fermionic model, got {model.flavor!r}")
-    require_valid(model, tol)
+    require_valid(model)
     s = model.f.conj().T @ model.gamma.T @ model.f
     x = model.hamiltonian - s.real
     y_raw = -2.0 * s.imag
@@ -117,21 +127,18 @@ def propagate_covariance(dd: FermionicDriftDiffusion, sigma0, times,
     return Trajectory(times, sigmas)
 
 
-def is_hurwitz(dd: FermionicDriftDiffusion,
-               tol: float = lyapunov.DEFAULT_HURWITZ_TOL) -> tuple[bool, float]:
-    return lyapunov.is_hurwitz_matrix(dd.x, tol)
+def is_hurwitz(dd: FermionicDriftDiffusion) -> tuple[bool, float]:
+    return lyapunov.is_hurwitz_matrix(dd.x)
 
 
-def steady_state(dd: FermionicDriftDiffusion,
-                 hurwitz_tol: float = lyapunov.DEFAULT_HURWITZ_TOL,
-                 residual_tol: float = lyapunov.DEFAULT_RESIDUAL_TOL) -> FermionicGaussianState:
+def steady_state(dd: FermionicDriftDiffusion) -> FermionicGaussianState:
     """Fixed point of the covariance dynamics for a Hurwitz drift."""
-    sigma = lyapunov.steady_state(dd.x, dd.y, antisymmetrize, hurwitz_tol, residual_tol)
+    sigma = lyapunov.steady_state(dd.x, dd.y, antisymmetrize)
     return FermionicGaussianState(sigma=sigma)
 
 
-def check_physicality(sigma, tol: float = 1e-9) -> tuple[bool, float]:
-    """Positivity test: all eigenvalue magnitudes of sigma must be <= 1.
+def check_physicality(sigma) -> tuple[bool, float]:
+    """Positivity test: all eigenvalue magnitudes of sigma must be <= 1 + PHYSICALITY_TOL.
 
     ``sigma`` is one covariance or a (T, 2N, 2N) stack, tested with one
     ``eigvalsh``; the largest magnitude over the stack is returned.
@@ -142,10 +149,10 @@ def check_physicality(sigma, tol: float = 1e-9) -> tuple[bool, float]:
         sigma = _antisymmetric(require_squares(sigma, "sigma"))
     # i sigma is Hermitian with real eigenvalues +-lambda_j
     max_lambda = max_abs(np.linalg.eigvalsh(1j * sigma))
-    return max_lambda <= 1.0 + tol, max_lambda
+    return max_lambda <= 1.0 + PHYSICALITY_TOL, max_lambda
 
 
-def mode_spectrum(sigma, tol: float = 1e-9) -> np.ndarray:
+def mode_spectrum(sigma) -> np.ndarray:
     """Per-mode eigenvalue magnitudes lambda_j, each +-(i lambda) pair once.
 
     Pairs are matched by sorted magnitude with a greedy tolerance check, so
@@ -155,7 +162,7 @@ def mode_spectrum(sigma, tol: float = 1e-9) -> np.ndarray:
     lams = np.sort(np.abs(np.linalg.eigvalsh(1j * sigma)))[::-1]
     paired = []
     for i in range(0, lams.size, 2):
-        if abs(lams[i] - lams[i + 1]) > tol * max(1.0, lams[i]):
+        if abs(lams[i] - lams[i + 1]) > PAIRING_TOL * max(1.0, lams[i]):
             raise StructuralError(
                 f"eigenvalues of sigma failed to pair: {lams[i]:.6e} vs {lams[i + 1]:.6e}"
             )
@@ -169,7 +176,7 @@ def purity(sigma) -> float:
     return float(np.prod((1.0 + lams ** 2) / 2.0))
 
 
-def schur_blocks(m, tol: float = 1e-12) -> tuple[np.ndarray, list[tuple[int, float]], list[int]]:
+def schur_blocks(m) -> tuple[np.ndarray, list[tuple[int, float]], list[int]]:
     """Real Schur reduction of an antisymmetric matrix into 2x2 blocks.
 
     Returns (q, pairs, singles): q is orthogonal, pairs lists (index, lam)
@@ -184,7 +191,7 @@ def schur_blocks(m, tol: float = 1e-12) -> tuple[np.ndarray, list[tuple[int, flo
     i = 0
     n = m.shape[0]
     while i < n:
-        if i + 1 < n and abs(t[i + 1, i]) > tol * scale:
+        if i + 1 < n and abs(t[i + 1, i]) > SCHUR_TOL * scale:
             lam = 0.5 * (t[i, i + 1] - t[i + 1, i])
             pairs.append((i, lam))
             i += 2
@@ -202,7 +209,7 @@ def _rebuild_from_blocks(q: np.ndarray, pairs: list[tuple[int, float]], n: int) 
     return antisymmetrize(q @ t @ q.T)
 
 
-def covariance_to_gibbs(sigma, boundary_tol: float = 1e-9) -> GibbsKernel:
+def covariance_to_gibbs(sigma) -> GibbsKernel:
     """Map a strictly mixed covariance to its thermal quadratic kernel.
 
     Blockwise inverse hyperbolic tangent: a mode with magnitude lambda maps
@@ -213,7 +220,7 @@ def covariance_to_gibbs(sigma, boundary_tol: float = 1e-9) -> GibbsKernel:
     q, pairs, _singles = schur_blocks(sigma)
     kernel_pairs = []
     for idx, lam in pairs:
-        if abs(lam) >= 1.0 - boundary_tol:
+        if abs(lam) >= 1.0 - BOUNDARY_TOL:
             raise BoundaryError(
                 f"mode magnitude {abs(lam):.12f} is at the pure-state boundary; "
                 "the thermal kernel diverges"

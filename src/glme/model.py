@@ -22,7 +22,9 @@ BOSONIC = "bosonic"
 FERMIONIC = "fermionic"
 FLAVORS = (BOSONIC, FERMIONIC)
 
-DEFAULT_TOL = 1e-10
+# Defects and negative eigenvalues are allowed up to VALIDATION_TOL times the
+# largest entry of the matrix under test, floored at 1.
+VALIDATION_TOL = 1e-10
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -114,11 +116,11 @@ class GeneralizedLindbladModel:
         return self.f.shape[0]
 
 
-def validate_model(model: GeneralizedLindbladModel, tol: float = DEFAULT_TOL) -> ValidationReport:
+def validate_model(model: GeneralizedLindbladModel) -> ValidationReport:
     """Check the decoherence-matrix and Hamiltonian-matrix invariants.
 
-    Tolerances are relative to the largest entry of the matrix under test
-    (floored at 1), so a zero matrix validates cleanly.
+    The bound is VALIDATION_TOL relative to the largest entry of the matrix
+    under test (floored at 1), so a zero matrix validates cleanly.
     """
     gamma = model.gamma
     gamma_dag = gamma.conj().T
@@ -137,9 +139,9 @@ def validate_model(model: GeneralizedLindbladModel, tol: float = DEFAULT_TOL) ->
         ham_defect = max_abs(ham + ham.T)
 
     is_valid = (
-        hermitian_defect <= tol * gamma_scale
-        and min_eig >= -tol * gamma_scale
-        and ham_defect <= tol * ham_scale
+        hermitian_defect <= VALIDATION_TOL * gamma_scale
+        and min_eig >= -VALIDATION_TOL * gamma_scale
+        and ham_defect <= VALIDATION_TOL * ham_scale
     )
     return ValidationReport(
         hermitian_defect=hermitian_defect,
@@ -149,8 +151,9 @@ def validate_model(model: GeneralizedLindbladModel, tol: float = DEFAULT_TOL) ->
     )
 
 
-def _require_positive(hermitian_defect: float, min_eigenvalue: float, bound: float):
-    """Raise unless the decoherence matrix is Hermitian and PSD to within ``bound``."""
+def _require_positive(hermitian_defect: float, min_eigenvalue: float, gamma: np.ndarray):
+    """Raise unless the decoherence matrix is Hermitian and PSD to within VALIDATION_TOL."""
+    bound = VALIDATION_TOL * max(1.0, max_abs(gamma))
     if hermitian_defect > bound:
         raise PositivityError(
             f"decoherence matrix is not Hermitian (defect {hermitian_defect:.3e}); "
@@ -161,13 +164,12 @@ def _require_positive(hermitian_defect: float, min_eigenvalue: float, bound: flo
         raise PositivityError(f"decoherence matrix has negative eigenvalue {min_eigenvalue:.3e}")
 
 
-def require_valid(model: GeneralizedLindbladModel, tol: float = DEFAULT_TOL):
+def require_valid(model: GeneralizedLindbladModel):
     """Validate a model, raising the error for the first invariant it breaks."""
-    report = validate_model(model, tol)
+    report = validate_model(model)
     if report.is_valid:
         return
-    _require_positive(report.hermitian_defect, report.min_gamma_eigenvalue,
-                      tol * max(1.0, max_abs(model.gamma)))
+    _require_positive(report.hermitian_defect, report.min_gamma_eigenvalue, model.gamma)
     symmetry = "symmetric" if model.flavor == BOSONIC else "antisymmetric"
     raise StructuralError(
         f"{model.flavor} hamiltonian matrix must be {symmetry} "
@@ -188,14 +190,14 @@ def split_non_hermitian(gamma) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (gamma + dag), 0.5 * (gamma - dag)
 
 
-def to_standard_form(gamma, f, tol: float = DEFAULT_TOL) -> StandardForm:
+def to_standard_form(gamma, f) -> StandardForm:
     """Unitarily diagonalize the decoherence matrix into independent channels.
 
     With gamma = U diag(rates) U^dag, the returned operator rows are U^T f,
     so that the weighted sum of pair dissipators over (gamma, f) equals the
     sum of ordinary dissipators over the returned (rate, row) list.
-    Eigenvalues in [-tol, 0) scaled by the matrix magnitude are clamped to
-    zero; anything lower raises.
+    Eigenvalues in [-VALIDATION_TOL, 0) scaled by the matrix magnitude are
+    clamped to zero; anything lower raises.
     """
     gamma = require_square(gamma, "Gamma")
     f = np.asarray(f, dtype=complex)
@@ -204,7 +206,7 @@ def to_standard_form(gamma, f, tol: float = DEFAULT_TOL) -> StandardForm:
             f"F must have one row per Gamma row ({gamma.shape[0]}), got shape {f.shape}"
         )
     evals, vecs = np.linalg.eigh(0.5 * (gamma + gamma.conj().T))
-    _require_positive(max_abs(gamma - gamma.conj().T), np.min(evals), tol * max(1.0, max_abs(gamma)))
+    _require_positive(max_abs(gamma - gamma.conj().T), np.min(evals), gamma)
     rates = np.clip(evals, 0.0, None)
     rows = vecs.T @ f
 

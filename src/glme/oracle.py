@@ -458,14 +458,14 @@ class DenseFermionicEngine(_DenseEngine):
         self.gamma = model.gamma
         self._finalize()
 
-    def _self_test(self, tol: float = 1e-13):
+    def _self_test(self):
         ident = np.eye(self.dim)
         worst = 0.0
         for j, wj in enumerate(self.w_ops):
             for k, wk in enumerate(self.w_ops):
                 delta = 1.0 if j == k else 0.0
                 worst = max(worst, max_abs(wj @ wk + wk @ wj - delta * ident))
-        if worst > tol:
+        if worst > 1e-13:
             raise StructuralError(
                 f"Majorana construction failed its anticommutator self-test ({worst:.3e})"
             )
@@ -519,35 +519,25 @@ def _pair_dissipator(a: np.ndarray, b: np.ndarray, rho: np.ndarray) -> np.ndarra
 
 
 def dissipator_linearity_check(l_j: np.ndarray, l_k: np.ndarray,
-                               alpha: complex, beta: complex,
-                               reading: str = "notational") -> float:
+                               alpha: complex, beta: complex) -> float:
     """Expand a dissipator of a linear combination into pair dissipators.
 
-    ``reading`` selects how the printed dagger on the second argument of the
-    cross terms is interpreted: "notational" treats it as already absorbed by
-    the pair dissipator definition (this is the reading that makes the
-    identity exact); "literal" passes the daggered operator in, which breaks
-    the identity for non-Hermitian operators and is kept for the regression
-    test that pins the distinction.
+    The printed dagger on the second argument of the cross terms is
+    notational: the pair dissipator definition already applies it, and that
+    reading is the one that makes the identity exact.
     """
     l_j = np.asarray(l_j, dtype=complex)
     l_k = np.asarray(l_k, dtype=complex)
     if l_j.shape != l_k.shape or l_j.ndim != 2 or l_j.shape[0] != l_j.shape[1]:
         raise StructuralError("operators must be square with matching shapes")
-    if reading not in ("notational", "literal"):
-        raise StructuralError(f"unknown reading {reading!r}")
     combined = alpha * l_j + beta * l_k
     worst = 0.0
     for rho in _density_basis(l_j.shape[0]):
         lhs = _standard_dissipator(combined, rho)
         rhs = (abs(alpha) ** 2 * _standard_dissipator(l_j, rho)
                + abs(beta) ** 2 * _standard_dissipator(l_k, rho))
-        if reading == "notational":
-            rhs += alpha * np.conj(beta) * _pair_dissipator(l_j, l_k, rho)
-            rhs += np.conj(alpha) * beta * _pair_dissipator(l_k, l_j, rho)
-        else:
-            rhs += alpha * np.conj(beta) * _pair_dissipator(l_j, l_k.conj().T, rho)
-            rhs += np.conj(alpha) * beta * _pair_dissipator(l_k, l_j.conj().T, rho)
+        rhs += alpha * np.conj(beta) * _pair_dissipator(l_j, l_k, rho)
+        rhs += np.conj(alpha) * beta * _pair_dissipator(l_k, l_j, rho)
         worst = max(worst, max_abs(lhs - rhs))
     return worst
 

@@ -297,6 +297,24 @@ class TestSteadyState:
             v = bosonic.steady_state(dd).v
             assert np.max(np.abs(dd.a @ v + v @ dd.a.T + dd.d)) <= 1e-10
 
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8])
+    def test_near_dark_pair_is_the_long_time_limit(self, eps):
+        # ||V_ss|| grows like 1/eps; the backward-error gate still returns it
+        dd = bosonic.build_drift_diffusion(near_dark_pair_model(eps))
+        v_ss = bosonic.steady_state(dd).v
+        late = bosonic.propagate_covariance(dd, np.eye(4), [0.0, 40.0 / eps]).covs[-1]
+        assert np.max(np.abs(late - v_ss)) <= 1e-8 * np.max(np.abs(v_ss))
+
+    def test_diffusion_scale_invariance(self, rng):
+        # scaling D by 10^k scales V by 10^k: the gate has no absolute scale
+        for _ in range(40):
+            _, dd = random_stable_bosonic(rng, int(rng.integers(1, 4)))
+            v0 = bosonic.steady_state(dd).v
+            for k in range(-6, 9):
+                scaled = bosonic.BosonicDriftDiffusion(dd.a, 10.0 ** k * dd.d)
+                vk = bosonic.steady_state(scaled).v
+                assert np.max(np.abs(vk / 10.0 ** k - v0)) <= 1e-12 * np.max(np.abs(v0))
+
     def test_exponential_convergence(self):
         gamma = 0.5
         dd = bosonic.build_drift_diffusion(damped_oscillator_model(gamma=gamma, omega=2.0))

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from glme import bosonic, entanglement, fermionic, oracle
+from glme import bosonic, entanglement, fermionic, model, oracle
 from glme.errors import StructuralError
 
-from conftest import bell_pair_sigma, random_physical_sigma, random_physical_v, tmsv_cov
+from conftest import (
+    bell_pair_sigma,
+    near_dark_pair_model,
+    random_physical_sigma,
+    random_physical_v,
+    tmsv_cov,
+)
 
 
 def rotation(theta):
@@ -81,6 +87,16 @@ class TestLogNegativityBosonic:
             result = entanglement.log_negativity_bosonic(v)
             assert result.value == 0.0
             assert result.auxiliary_spectrum[0] >= 1.0 - 1e-12
+
+    def test_near_dark_steady_state(self):
+        # ||V|| ~ 5e6: a block-determinant formula cancels here
+        dd = bosonic.build_drift_diffusion(near_dark_pair_model(1e-8))
+        v = bosonic.steady_state(dd).v
+        flip = np.diag([1.0, 1.0, 1.0, -1.0])
+        eta = np.min(np.abs(np.linalg.eigvals(1j * model.symplectic_form(2) @ flip @ v @ flip)))
+        result = entanglement.log_negativity_bosonic(v)
+        assert result.auxiliary_spectrum[0] == pytest.approx(eta, rel=1e-8)
+        assert result.value == max(0.0, -np.log(eta))
 
     def test_monotone_in_squeezing(self):
         rs = np.linspace(0.0, 2.0, 21)

@@ -134,7 +134,7 @@ class TestToStandardForm:
 
     def test_small_negative_clamped_to_zero(self):
         gamma = np.diag([1.0, -1e-12]).astype(complex)
-        sf = model.to_standard_form(gamma, np.eye(2, dtype=complex), tol=1e-10)
+        sf = model.to_standard_form(gamma, np.eye(2, dtype=complex))
         assert np.all(sf.rates >= 0.0)
 
     def test_non_hermitian_rejected(self):

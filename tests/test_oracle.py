@@ -443,8 +443,15 @@ class TestDissipatorLinearity:
         # regression pin: the dagger on the cross terms is notational, not
         # an operator to apply again
         a = oracle._destroy(10)
-        good = oracle.dissipator_linearity_check(a, a.conj().T, 1.0, 1.0, reading="notational")
-        bad = oracle.dissipator_linearity_check(a, a.conj().T, 1.0, 1.0, reading="literal")
+        a_dag = a.conj().T
+        good = oracle.dissipator_linearity_check(a, a_dag, 1.0, 1.0)
+        bad = 0.0
+        for rho in oracle._density_basis(10):
+            lhs = oracle._standard_dissipator(a + a_dag, rho)
+            literal = (oracle._standard_dissipator(a, rho) + oracle._standard_dissipator(a_dag, rho)
+                       + oracle._pair_dissipator(a, a_dag.conj().T, rho)
+                       + oracle._pair_dissipator(a_dag, a.conj().T, rho))
+            bad = max(bad, np.max(np.abs(lhs - literal)))
         assert good <= 1e-12
         assert bad > 1e-2
 
