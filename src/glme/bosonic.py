@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import lyapunov
 from ._util import (
@@ -159,12 +158,6 @@ def build_drift_diffusion(model: GeneralizedLindbladModel) -> BosonicDriftDiffus
     return BosonicDriftDiffusion._trusted(require_finite(a, "A"), require_finite(d, "D"))
 
 
-def evolve_mean(dd: BosonicDriftDiffusion, mean0, t: float) -> np.ndarray:
-    """Mean vector at time t under the homogeneous drift flow."""
-    mean0 = require_vector(mean0, "mean0", length=dd.a.shape[0])
-    return expm(dd.a * t) @ mean0
-
-
 def propagate_covariance(dd: BosonicDriftDiffusion, v0, times,
                          method: str = "exact",
                          mean0=None,
@@ -219,18 +212,6 @@ def purity(v) -> float:
     if det < 1.0 - PHYSICALITY_TOL:
         raise DomainError(f"det V = {det:.6e} is below the physical bound 1")
     return 1.0 / np.sqrt(max(det, 1e-300))
-
-
-def purity_diagnostic(v) -> float:
-    """Pure-state defect: how far the squared symplectic spectrum sits from 1.
-
-    Zero exactly for pure states; grows with mixedness. Computed from the
-    eigenvalue magnitudes of (Omega V)^2.
-    """
-    v = require_square(v, "V", dtype=float)
-    omega = symplectic_form(v.shape[0] // 2)
-    eigs = np.linalg.eigvals(omega @ v @ omega @ v)
-    return float(np.max(np.abs(np.abs(eigs) - 1.0)))
 
 
 def wigner(state: GaussianState, point) -> float:

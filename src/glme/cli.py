@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 domain or physics failure, 2 input or parse
 failure. Every error path emits a machine-readable JSON object
-{"error", "code", "detail"} on stderr.
+{"error", "code", "detail"} on stderr. ``validate`` and ``assemble`` load no
+scipy; only ``oracle-check`` imports ``oracle`` and so scipy.sparse.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 import click
 import numpy as np
 
-from . import bosonic, entanglement, fermionic, io, oracle, reservoir
+from . import bosonic, entanglement, fermionic, io, reservoir
 from .errors import (
     DomainError,
     EvaluationError,
@@ -42,12 +43,9 @@ _ERROR_CODES = {
 }
 
 
-_MODULES = {BOSONIC: bosonic, FERMIONIC: fermionic}
-
-
 def _dynamics(model):
     """The model's flavor module and its validated drift/diffusion record."""
-    module = _MODULES[model.flavor]
+    module = bosonic if model.flavor == BOSONIC else fermionic
     return module, module.build_drift_diffusion(model)
 
 
@@ -85,9 +83,7 @@ def _time_grid(t_final: float, steps: int, times_path: str | None) -> np.ndarray
         try:
             with open(times_path) as handle:
                 values = [float(line) for line in handle.read().split()]
-        except OSError as exc:
-            raise ParseError(f"{times_path}: {exc}")
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             raise ParseError(f"{times_path}: {exc}")
         if not values:
             raise ParseError(f"{times_path}: no times found")
@@ -180,7 +176,8 @@ def steady_state_cmd(model_path):
 @click.option("--state", "state_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--measure", type=click.Choice(["duan", "logneg"]), required=True)
 @click.option("--alpha", type=float, default=None, help="Duan coefficient; flavor-specific default.")
-@click.option("--beta", type=float, default=None, help="Duan coefficient; flavor-specific default.")
+@click.option("--beta", type=float, default=None, help="Duan coefficient; flavor-specific default. "
+              "Bosonic -1 detects squeezing with Cov(q1, q2) > 0, +1 the opposite sign.")
 @click.option("--strict-paper", is_flag=True, default=False,
               help="Use the -ln(2 eta) bosonic negativity variant.")
 @_handle_errors
@@ -241,6 +238,7 @@ def assemble(couplings_path, spectral_path, output, flavor):
 @_handle_errors
 def oracle_check(model_path, fock_dim):
     """Run dense brute-force consistency checks against a model."""
+    from . import oracle
     model = io.load_model(model_path)
     if model.flavor == BOSONIC:
         engine = oracle.DenseBosonicEngine(model, fock_dim)

@@ -51,8 +51,9 @@ def duan_bosonic(state, alpha: float = 1.0, beta: float = -1.0) -> DuanResult:
 
     Computes Var(alpha q1 + beta q2) + Var(alpha p1 - beta p2) from the
     covariance matrix; the state is inseparable when the total variance drops
-    strictly below alpha^2 + beta^2. The default (1, -1) pairing detects
-    two-mode squeezing.
+    strictly below alpha^2 + beta^2. On two-mode squeezing the default (1, -1)
+    reads 2 e^{-2|r|} if Cov(q1, q2) > 0 > Cov(p1, p2), else 2 e^{2|r|}; (1, +1)
+    reads the reverse and so detects dissipative two-mode squeezing.
     """
     v = state.v if isinstance(state, GaussianState) else require_square(state, "V", dtype=float)
     if v.shape[0] != 4:

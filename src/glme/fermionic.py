@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
 from . import lyapunov
-from ._util import antisymmetrize, max_abs, require_square, require_squares
+from ._util import antisymmetrize, max_abs, require_square, require_squares, scipy_linalg
 from .bosonic import Trajectory
 from .errors import BoundaryError, StructuralError
 from .model import FERMIONIC, GeneralizedLindbladModel, require_valid
@@ -30,6 +29,7 @@ PAIRING_TOL = 1e-9
 SCHUR_TOL = 1e-12
 # Modes with |lambda| >= 1 - BOUNDARY_TOL are pure: their thermal kernel diverges.
 BOUNDARY_TOL = 1e-9
+schur = scipy_linalg("schur")
 
 
 @dataclass(frozen=True)

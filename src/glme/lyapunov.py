@@ -2,7 +2,7 @@
 
 Both statistics flavors reduce to this differential Lyapunov equation; they
 differ only in the symmetry reimposed on the output, which callers supply as
-a structure-enforcing callable.
+a structure-enforcing callable. scipy.linalg loads at the first solve or exponential.
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm, solve_continuous_lyapunov
 
+from ._util import scipy_linalg
 from .errors import NumericalError, StabilityError, StructuralError
 
 # Absolute, not relative to ||a||: perfbench/workloads.py:HURWITZ_TOL mirrors
@@ -22,6 +22,8 @@ HURWITZ_TOL = 1e-10
 # Bound on the normwise backward error of a fixed-point solve (Higham, BIT
 # 33:124, 1993): scale-free, so near-dark steady states of large norm pass.
 RESIDUAL_TOL = 1e-10
+expm = scipy_linalg("expm")  # a module global, which callers may replace
+solve_continuous_lyapunov = scipy_linalg("solve_continuous_lyapunov")
 
 
 def spectral_abscissa(a: np.ndarray) -> float:

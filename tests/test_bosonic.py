@@ -93,23 +93,26 @@ class TestBuildDriftDiffusion:
             assert np.max(np.abs(dd.d - d_ref)) <= 1e-12
 
 
-class TestEvolveMean:
+class TestPropagatedMean:
     def test_zero_time_identity(self):
         dd = bosonic.build_drift_diffusion(damped_oscillator_model())
-        np.testing.assert_allclose(bosonic.evolve_mean(dd, [0.3, -0.2], 0.0), [0.3, -0.2])
+        traj = bosonic.propagate_covariance(dd, np.eye(2), [0.0], mean0=[0.3, -0.2])
+        np.testing.assert_allclose(traj.means[0], [0.3, -0.2])
 
     def test_quarter_rotation(self):
         dd = bosonic.BosonicDriftDiffusion(
             a=(np.pi / 2) * model.symplectic_form(1), d=np.zeros((2, 2))
         )
-        np.testing.assert_allclose(bosonic.evolve_mean(dd, [1.0, 0.0], 1.0), [0.0, -1.0], atol=1e-15)
+        traj = bosonic.propagate_covariance(dd, np.eye(2), [0.0, 1.0], mean0=[1.0, 0.0])
+        np.testing.assert_allclose(traj.means[1], [0.0, -1.0], atol=1e-15)
 
     def test_damping_factor(self):
         gamma = 0.8
         dd = bosonic.build_drift_diffusion(damped_oscillator_model(gamma=gamma, omega=1.3))
         mean0 = np.array([1.0, 0.5])
-        for t in (0.5, 1.0, 2.5):
-            mean_t = bosonic.evolve_mean(dd, mean0, t)
+        times = [0.0, 0.5, 1.0, 2.5]
+        traj = bosonic.propagate_covariance(dd, np.eye(2), times, mean0=mean0)
+        for t, mean_t in zip(times[1:], traj.means[1:]):
             assert np.linalg.norm(mean_t) == pytest.approx(
                 np.exp(-gamma * t / 2.0) * np.linalg.norm(mean0), rel=1e-12
             )
@@ -158,10 +161,10 @@ class TestPropagateCovariance:
         dd = bosonic.build_drift_diffusion(damped_oscillator_model())
         traj = bosonic.propagate_covariance(dd, np.eye(2), [0.0, 1.0], mean0=[1.0, 0.0])
         np.testing.assert_allclose(
-            traj.states[1].mean, bosonic.evolve_mean(dd, [1.0, 0.0], 1.0), atol=1e-14
+            traj.states[1].mean, expm(dd.a * 1.0) @ [1.0, 0.0], atol=1e-14
         )
 
-    def test_mean_matches_evolve_mean_on_nonuniform_grid(self, rng):
+    def test_mean_matches_expm_on_nonuniform_grid(self, rng):
         n = 40
         a = rng.standard_normal((n, n)) / np.sqrt(n)
         a -= (lyapunov.spectral_abscissa(a) + 0.2) * np.eye(n)
@@ -172,7 +175,7 @@ class TestPropagateCovariance:
         rk4 = bosonic.propagate_covariance(dd, np.eye(n), times, method="rk4", mean0=mean0,
                                            rk4_substeps=4)
         for t, a_state, b_state in zip(times, exact.states, rk4.states):
-            expected = bosonic.evolve_mean(dd, mean0, t)
+            expected = expm(dd.a * t) @ mean0
             scale = np.max(np.abs(expected))
             assert np.max(np.abs(a_state.mean - expected)) <= 1e-12 * scale
             assert np.max(np.abs(b_state.mean - expected)) <= 1e-8 * scale
@@ -376,13 +379,6 @@ class TestPhysicalityAndPurity:
     def test_purity_rejects_unphysical(self):
         with pytest.raises(DomainError):
             bosonic.purity(0.25 * np.eye(2))
-
-    def test_purity_diagnostic_zero_for_pure(self):
-        assert bosonic.purity_diagnostic(np.eye(2)) == pytest.approx(0.0, abs=1e-14)
-        # squeezed vacuum is pure as well
-        v = np.diag([np.exp(-0.8), np.exp(0.8)])
-        assert bosonic.purity_diagnostic(v) <= 1e-12
-        assert bosonic.purity_diagnostic(2.0 * np.eye(2)) == pytest.approx(3.0, abs=1e-12)
 
     def test_purity_matches_dense_oracle(self):
         for nbar in (0.0, 0.4, 1.1):

@@ -32,6 +32,17 @@ class TestDuanBosonic:
         assert result.quantity == pytest.approx(2.0 * np.exp(-2.0 * r), rel=1e-12)
         assert result.entangled_flag
 
+    @pytest.mark.parametrize("r", [0.5, -0.5])
+    def test_each_pairing_detects_one_correlation_sign(self, r):
+        state = bosonic.GaussianState(np.zeros(4), tmsv_cov(r))
+        minus = entanglement.duan_bosonic(state, alpha=1.0, beta=-1.0)
+        plus = entanglement.duan_bosonic(state, alpha=1.0, beta=1.0)
+        low, high = 2.0 * np.exp(-2.0 * abs(r)), 2.0 * np.exp(2.0 * abs(r))
+        detecting, other = (minus, plus) if r > 0 else (plus, minus)
+        assert detecting.quantity == pytest.approx(low, rel=1e-12)
+        assert other.quantity == pytest.approx(high, rel=1e-12)
+        assert detecting.entangled_flag and not other.entangled_flag
+
     @pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (0.7, -1.2)])
     def test_thermal_product_never_flags(self, alpha, beta):
         nbar = 0.8
