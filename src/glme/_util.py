@@ -6,6 +6,31 @@ import numpy as np
 
 from .errors import StructuralError
 
+# Coefficients b_0..b_13 of the Pade [13/13] approximant of exp (Higham, SIAM
+# J. Matrix Anal. Appl. 26:1179, 2005).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+
+
+def pade13_expm(a: np.ndarray) -> np.ndarray:
+    """Pade [13/13] approximant of e^a for every matrix of a (K, m, m) stack.
+
+    There is no scaling: the approximant is accurate to the unit roundoff
+    only for ||a||_1 <= theta_13 = 5.37 (Higham, 2005), which callers keep.
+    Six stacked products and one stacked solve.
+    """
+    b = _PADE13
+    ident = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    return np.linalg.solve(v - u, v + u)
+
 
 def scipy_linalg(name: str):
     """``scipy.linalg.<name>``, imported at its first call instead of with glme."""

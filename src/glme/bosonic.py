@@ -185,8 +185,9 @@ def is_hurwitz(dd: BosonicDriftDiffusion) -> tuple[bool, float]:
 
 def steady_state(dd: BosonicDriftDiffusion) -> GaussianState:
     """Unique fixed point of the moment dynamics for a Hurwitz drift."""
+    # the backward-error gate rejects non-finite solutions and symmetrize makes V exact
     v = lyapunov.steady_state(dd.a, dd.d, symmetrize)
-    return GaussianState(mean=np.zeros(dd.a.shape[0]), v=v)
+    return GaussianState._trusted(np.zeros(dd.a.shape[0]), v)
 
 
 def check_physicality(v) -> tuple[bool, float]:

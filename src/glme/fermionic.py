@@ -133,8 +133,8 @@ def is_hurwitz(dd: FermionicDriftDiffusion) -> tuple[bool, float]:
 
 def steady_state(dd: FermionicDriftDiffusion) -> FermionicGaussianState:
     """Fixed point of the covariance dynamics for a Hurwitz drift."""
-    sigma = lyapunov.steady_state(dd.x, dd.y, antisymmetrize)
-    return FermionicGaussianState(sigma=sigma)
+    # the backward-error gate rejects non-finite solutions and antisymmetrize makes sigma exact
+    return FermionicGaussianState._trusted(lyapunov.steady_state(dd.x, dd.y, antisymmetrize))
 
 
 def check_physicality(sigma) -> tuple[bool, float]:

@@ -2,17 +2,17 @@
 
 Both statistics flavors reduce to this differential Lyapunov equation; they
 differ only in the symmetry reimposed on the output, which callers supply as
-a structure-enforcing callable. scipy.linalg loads at the first solve or exponential.
+a structure-enforcing callable. Propagation needs numpy only; scipy.linalg
+loads at the first fixed-point solve.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
 
-from ._util import scipy_linalg
+from ._util import pade13_expm, scipy_linalg
 from .errors import NumericalError, StabilityError, StructuralError
 
 # Absolute, not relative to ||a||: perfbench/workloads.py:HURWITZ_TOL mirrors
@@ -22,7 +22,10 @@ HURWITZ_TOL = 1e-10
 # Bound on the normwise backward error of a fixed-point solve (Higham, BIT
 # 33:124, 1993): scale-free, so near-dark steady states of large norm pass.
 RESIDUAL_TOL = 1e-10
-expm = scipy_linalg("expm")  # a module global, which callers may replace
+# Base steps keep max(||a||_1, ||a||_inf) h below this, so the diagonal blocks
+# of every Van Loan block stay inside theta_13 = 5.37 of the Pade kernel.
+BASE_STEP_NORM = 4.0
+expm = pade13_expm  # a module global, which callers may replace
 solve_continuous_lyapunov = scipy_linalg("solve_continuous_lyapunov")
 
 
@@ -91,7 +94,12 @@ def propagate(a: np.ndarray, q: np.ndarray, x0: np.ndarray, times,
     The first grid point carries the initial condition. "exact" steps the
     closed-form flow X <- E X ET + M, with E = e^{a dt} and M the integral
     over [0, dt] of e^{a s} q e^{aT s} ds, for Hurwitz and non-Hurwitz ``a``
-    alike (see ``_flow``). "rk4" integrates the ODE on the grid with
+    alike. Each distinct step dt doubles up from the base step h = dt / 2^k,
+    the smallest k with max(||a||_1, ||a||_inf) h < BASE_STEP_NORM = 4. The
+    Van Loan blocks [[-a h, q h], [0, aT h]] of all base steps (Van Loan,
+    IEEE TAC 23:395, 1978) go through one stacked Pade [13/13] exponential,
+    which needs no scaling there (Higham, SIAM J. Matrix Anal. Appl.
+    26:1179, 2005; see ``_flows``). "rk4" integrates the ODE on the grid with
     ``rk4_substeps`` internal steps per interval. Every output passes through
     ``structure`` to reimpose the exact matrix symmetry.
 
@@ -117,28 +125,6 @@ def propagate(a: np.ndarray, q: np.ndarray, x0: np.ndarray, times,
     return xs, ys
 
 
-def _flow(block: np.ndarray, a_norm: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """(E, M) over one step dt from the Van Loan block [[-a, q], [0, aT]].
-
-    One block exponential on the base step h = dt / 2^k, the smallest k with
-    ||a||_1 h < 1, gives E_h as the transpose of its lower-right block and
-    M_h = E_h times its upper-right block (Van Loan, IEEE TAC 23:395, 1978).
-    Doubling M <- E M ET + M, E <- E E then reaches dt. The doubling is what
-    keeps large ||a|| dt steps accurate: over a long step the upper-left block
-    e^{-a dt} of a stable ``a`` grows without bound, and the upper-right block
-    M is read from inherits its rounding error.
-    """
-    n = block.shape[0] // 2
-    doublings = max(0, math.frexp(a_norm * dt)[1])
-    big = expm(block * (dt / 2.0 ** doublings))
-    e = big[n:, n:].T
-    m = e @ big[:n, n:]
-    for _ in range(doublings):
-        m = e @ m @ e.T + m
-        e = e @ e
-    return e, m
-
-
 def grid_steps(times: np.ndarray) -> np.ndarray:
     """Steps of an increasing grid; all set to h = (t_end - t0) / (T - 1) when uniform.
 
@@ -153,20 +139,48 @@ def grid_steps(times: np.ndarray) -> np.ndarray:
     return steps
 
 
-def _propagate_exact(a, q, xs, ys, times, structure):
-    """Fill xs[1:] (and ys[1:]) in place with the cached flow of each distinct step."""
+def _flows(a: np.ndarray, q: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked (E, M) for each of the ascending ``steps``, from one ``expm`` call.
+
+    Each step's base step h (see ``propagate``) gives E_h as the transpose of
+    the lower-right block of the Van Loan exponential and M_h = E_h times its
+    upper-right block; q enters that block linearly, so only the diagonal
+    blocks bound the kernel's error. Doubling M <- E M ET + M, E <- E E then
+    reaches dt. The doubling keeps large ||a|| dt steps accurate: over a long
+    step the upper-left block e^{-a dt} of a stable ``a`` grows without
+    bound, and the upper-right block M is read from inherits its rounding
+    error.
+    """
     n = a.shape[0]
-    block = np.zeros((2 * n, 2 * n))
-    block[:n, :n] = -a
-    block[:n, n:] = q
-    block[n:, n:] = a.T
-    a_norm = float(np.abs(a).sum(axis=0).max())
-    flows = {}
-    for i, dt in enumerate(grid_steps(times).tolist(), start=1):
-        if dt not in flows:
-            flows[dt] = _flow(block, a_norm, dt)
-        e, m = flows[dt]
-        xs[i] = structure(e @ xs[i - 1] @ e.T + m)
+    a_abs = np.abs(a)
+    a_norm = max(a_abs.sum(axis=0).max(), a_abs.sum(axis=1).max())
+    # ascending steps take non-decreasing doubling counts
+    doublings = np.maximum(np.frexp(a_norm * steps / BASE_STEP_NORM)[1], 0)
+    blocks = np.zeros((steps.size, 2 * n, 2 * n))
+    blocks[:, :n, :n] = -a
+    blocks[:, :n, n:] = q
+    blocks[:, n:, n:] = a.T
+    blocks *= (steps / 2.0 ** doublings)[:, None, None]
+    big = expm(blocks)
+    e = big[:, n:, n:].transpose(0, 2, 1).copy()
+    m = e @ big[:, :n, n:]
+    for r in range(int(doublings[-1])):
+        first = int(np.searchsorted(doublings, r, side="right"))
+        e_r, m_r = e[first:], m[first:]
+        m[first:] = e_r @ m_r @ e_r.transpose(0, 2, 1) + m_r
+        e[first:] = e_r @ e_r
+    return e, m
+
+
+def _propagate_exact(a, q, xs, ys, times, structure):
+    """Fill xs[1:] (and ys[1:]) in place with the flow of each distinct step."""
+    steps, which = np.unique(grid_steps(times), return_inverse=True)
+    if not steps.size:
+        return
+    flows = [(e, e.T, m) for e, m in zip(*_flows(a, q, steps))]
+    for i, j in enumerate(which.tolist(), start=1):
+        e, e_t, m = flows[j]
+        xs[i] = structure(e @ xs[i - 1] @ e_t + m)
         if ys is not None:
             ys[i] = e @ ys[i - 1]
 

@@ -21,6 +21,14 @@ from conftest import (
 )
 
 
+def _count_expm(monkeypatch) -> list[int]:
+    """Stack sizes of the calls through ``lyapunov.expm``, recorded as they happen."""
+    calls = []
+    kernel = lyapunov.expm
+    monkeypatch.setattr(lyapunov, "expm", lambda m: calls.append(m.shape[0]) or kernel(m))
+    return calls
+
+
 class TestBuildDriftDiffusion:
     def test_damped_oscillator_closed_form(self):
         m = damped_oscillator_model(gamma=0.5, omega=2.0, nbar=0.0)
@@ -209,12 +217,30 @@ class TestPropagateCovariance:
         (np.array([0.0, 0.5, 1.0, 1.25, 1.5, 2.5]), 3),
     ])
     def test_one_flow_per_distinct_step(self, monkeypatch, times, flows):
-        # linspace steps differ by a few ulps; the grid still takes one flow
-        calls = []
-        monkeypatch.setattr(lyapunov, "expm", lambda m: calls.append(m) or expm(m))
+        # linspace steps differ by a few ulps; the grid still takes one flow,
+        # and all distinct steps share one stacked exponential
+        calls = _count_expm(monkeypatch)
         dd = bosonic.build_drift_diffusion(damped_oscillator_model())
         bosonic.propagate_covariance(dd, np.eye(2), times)
-        assert len(calls) == flows
+        assert calls == [flows]
+
+    def test_mixed_doublings_in_one_stack(self, monkeypatch, rng):
+        # one step needs no doubling and one needs at least 10, in one stack
+        _, dd = random_stable_bosonic(rng, 2)
+        norm = max(np.abs(dd.a).sum(axis=0).max(), np.abs(dd.a).sum(axis=1).max())
+        times = np.array([0.0, 1e-3, 1e-3 + 1e4 / norm])
+        steps = np.diff(times)
+        assert norm * steps[0] < lyapunov.BASE_STEP_NORM
+        assert norm * steps[1] >= lyapunov.BASE_STEP_NORM * 2.0 ** 9
+        calls = _count_expm(monkeypatch)
+        v0 = random_physical_v(rng, 2)
+        v_inf = bosonic.steady_state(dd).v
+        traj = bosonic.propagate_covariance(dd, v0, times)
+        assert calls == [2]
+        for t, v in zip(times, traj.covs):
+            e = expm(dd.a * t)
+            closed = e @ (v0 - v_inf) @ e.T + v_inf
+            assert np.max(np.abs(v - closed)) <= 1e-12 * np.max(np.abs(closed))
 
     @pytest.mark.parametrize("norm_dt", [50.0, 1000.0])
     def test_large_norm_step_matches_closed_form(self, rng, norm_dt):

@@ -17,7 +17,7 @@ import pytest
 import glme
 from glme import io
 
-from conftest import damped_oscillator_model
+from conftest import damped_oscillator_model, fermionic_decay_model
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -85,11 +85,16 @@ class TestColdStart:
         assert "scipy.linalg" in loaded
         assert _sparse(loaded) == []
 
-    def test_evolve_loads_no_scipy_sparse(self, model_file, tmp_path):
-        loaded = _fresh(_CLI_PROBE, "evolve", "--model", model_file, "--steps", "4",
-                        "--output", str(tmp_path / "traj.csv"))
-        assert "scipy.linalg" in loaded
-        assert _sparse(loaded) == []
+    @pytest.mark.parametrize("fermionic", [False, True])
+    def test_evolve_loads_no_scipy(self, model_file, tmp_path, fermionic):
+        if fermionic:
+            model_file = str(tmp_path / "fermionic.json")
+            io.save_model(fermionic_decay_model(gamma=0.5, omega=1.0), model_file)
+        assert _fresh(_CLI_PROBE, "evolve", "--model", model_file, "--steps", "4",
+                      "--output", str(tmp_path / "traj.csv")) == []
+
+    def test_import_lyapunov_loads_no_scipy(self):
+        assert _fresh("import json, sys\nimport glme.lyapunov\n" + _REPORT) == []
 
 
 class TestLazyPackage:
