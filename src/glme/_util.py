@@ -32,16 +32,6 @@ def pade13_expm(a: np.ndarray) -> np.ndarray:
     return np.linalg.solve(v - u, v + u)
 
 
-def scipy_linalg(name: str):
-    """``scipy.linalg.<name>``, imported at its first call instead of with glme."""
-    def call(*args, **kwargs):
-        if not hasattr(call, "fn"):
-            from scipy import linalg
-            call.fn = getattr(linalg, name)
-        return call.fn(*args, **kwargs)
-    return call
-
-
 def max_abs(m) -> float:
     """Largest absolute entry; 0.0 for empty input."""
     arr = np.asarray(m)

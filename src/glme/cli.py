@@ -178,10 +178,8 @@ def steady_state_cmd(model_path):
 @click.option("--alpha", type=float, default=None, help="Duan coefficient; flavor-specific default.")
 @click.option("--beta", type=float, default=None, help="Duan coefficient; flavor-specific default. "
               "Bosonic -1 detects squeezing with Cov(q1, q2) > 0, +1 the opposite sign.")
-@click.option("--strict-paper", is_flag=True, default=False,
-              help="Use the -ln(2 eta) bosonic negativity variant.")
 @_handle_errors
-def entanglement_cmd(model_path, state_path, measure, alpha, beta, strict_paper):
+def entanglement_cmd(model_path, state_path, measure, alpha, beta):
     """Entanglement measures for a two-mode state or model steady state."""
     if (model_path is None) == (state_path is None):
         raise click.UsageError("provide exactly one of --model or --state")
@@ -205,7 +203,7 @@ def entanglement_cmd(model_path, state_path, measure, alpha, beta, strict_paper)
         _emit({"measure": "duan", "value": result.quantity, "bound": result.bound,
                "entangled": result.entangled_flag})
     else:
-        result = (entanglement.log_negativity_bosonic(state.v, strict_paper=strict_paper) if boson
+        result = (entanglement.log_negativity_bosonic(state.v) if boson
                   else entanglement.log_negativity_fermionic(state.sigma))
         _emit({"measure": "logneg", "value": result.value,
                "spectrum": result.auxiliary_spectrum})

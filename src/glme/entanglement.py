@@ -3,7 +3,8 @@
 Bosonic measures take the symmetric quadrature covariance (vacuum = identity)
 in the interleaved ordering (q1, p1, q2, p2); fermionic measures take the
 antisymmetric Majorana covariance over (w1, w2, w3, w4) with modes grouped in
-consecutive pairs.
+consecutive pairs. Every spectrum here is that of a Hermitian matrix, so the
+module needs numpy only.
 """
 
 from __future__ import annotations
@@ -13,13 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fermionic
-from ._util import max_abs, require_square
+from ._util import require_square
 from .errors import NumericalError, StructuralError
 from .bosonic import GaussianState
 from .model import symplectic_form
 
-# Fermionic mode magnitudes are clamped to 1 - CLAMP_EPS inside the inverted
-# factor of sigma_cross, so pure inputs stay finite.
+# sigma_cross clamps fermionic mode magnitudes to at most 1 - CLAMP_EPS.
 CLAMP_EPS = 1e-8
 # Slack above 1 allowed in the composite spectrum.
 COMPOSITE_TOL = 1e-9
@@ -66,7 +66,7 @@ def duan_bosonic(state, alpha: float = 1.0, beta: float = -1.0) -> DuanResult:
     return DuanResult(quantity=quantity, bound=bound, entangled_flag=quantity < bound)
 
 
-def log_negativity_bosonic(v, strict_paper: bool = False) -> NegativityResult:
+def log_negativity_bosonic(v) -> NegativityResult:
     """Logarithmic negativity of a two-mode Gaussian state.
 
     The auxiliary quantity eta is the smaller symplectic eigenvalue of the
@@ -75,8 +75,7 @@ def log_negativity_bosonic(v, strict_paper: bool = False) -> NegativityResult:
     to i Omega Vt. The eigenproblem stays accurate on near-dark steady states
     of large norm, where a closed form in block determinants cancels.
     In this covariance convention (vacuum = identity) the measure is
-    max(0, -ln eta); ``strict_paper`` switches to the max(0, -ln 2 eta)
-    variant, which differs by ln 2 and is kept only for comparison.
+    max(0, -ln eta).
     """
     v = require_square(v, "V", dtype=float)
     if v.shape[0] != 4:
@@ -88,39 +87,32 @@ def log_negativity_bosonic(v, strict_paper: bool = False) -> NegativityResult:
     eta = float(np.min(np.abs(np.linalg.eigvalsh(1j * (low.T @ _OMEGA_2 @ low)))))
     if not eta > 0.0:
         raise NumericalError("eta vanished; covariance is singular or unphysical")
-    value = -np.log(2.0 * eta) if strict_paper else -np.log(eta)
-    return NegativityResult(value=float(max(0.0, value)), auxiliary_spectrum=np.array([eta]))
+    return NegativityResult(value=float(max(0.0, -np.log(eta))), auxiliary_spectrum=np.array([eta]))
 
 
 def sigma_cross(sigma) -> np.ndarray:
     """Spectrum of the composite covariance behind the fermionic negativity.
 
-    Builds ((1 - sigma^2) / 2)^{-1} blockdiag(sigma_1, -sigma_2) for a
-    two-mode covariance split into mode blocks, and returns its eigenvalues,
-    which come in +-(i lambda_cross) pairs. Mode magnitudes above
-    1 - CLAMP_EPS are clamped to 1 - CLAMP_EPS inside the inverted factor so
-    pure inputs stay finite.
+    The composite covariance is F^{-1} blockdiag(sigma_1, -sigma_2) for a
+    two-mode covariance split into mode blocks, with the factor
+    F = (1 - sigma^2) / 2 (Shapourian, Shiozaki & Ryu, PRB 95:165101, 2017).
+    F is positive definite, with eigenvalues (1 + lambda^2) / 2 >= 1/2, so
+    with F = L LT (Cholesky) the composite is similar to the antisymmetric
+    C = L^{-1} blockdiag(sigma_1, -sigma_2) L^{-T}. Returns the eigenvalues
+    of C, +-(i lambda_cross) pairs sorted by imaginary part. Mode magnitudes
+    above 1 - CLAMP_EPS are first clamped to 1 - CLAMP_EPS.
     """
     sigma = fermionic._as_antisymmetric(sigma)
     if sigma.shape[0] != 4:
         raise StructuralError(f"sigma_cross needs exactly two modes, got shape {sigma.shape}")
-    q, pairs, _singles = fermionic.schur_blocks(sigma)
-    clamped_pairs = []
-    for idx, lam in pairs:
-        mag = min(abs(lam), 1.0 - CLAMP_EPS)
-        clamped_pairs.append((idx, np.sign(lam) * mag if lam != 0 else 0.0))
-    sigma_c = fermionic._rebuild_from_blocks(q, clamped_pairs, 4)
-
-    factor = 0.5 * (np.eye(4) - sigma_c @ sigma_c)
+    bound = 1.0 - CLAMP_EPS
+    sigma_c = fermionic._map_modes(sigma, lambda mu: np.clip(mu, -bound, bound))
+    low = np.linalg.cholesky(0.5 * (np.eye(4) - sigma_c @ sigma_c))
     local = np.zeros((4, 4))
     local[:2, :2] = sigma_c[:2, :2]
     local[2:, 2:] = -sigma_c[2:, 2:]
-    try:
-        m = np.linalg.solve(factor, local)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("composite covariance factor is singular") from exc
-    eigs = np.linalg.eigvals(m)
-    return eigs[np.argsort(eigs.imag)]
+    composite = np.linalg.solve(low, np.linalg.solve(low, local).T).T
+    return 1j * np.linalg.eigvalsh(-1j * composite)
 
 
 def log_negativity_fermionic(sigma) -> NegativityResult:
@@ -128,15 +120,15 @@ def log_negativity_fermionic(sigma) -> NegativityResult:
 
     Combines a Renyi-1/2 entropy of the composite spectrum with the Renyi-2
     entropy of the state itself, both evaluated as closed products over the
-    paired eigenvalue magnitudes.
+    eigenvalue magnitudes, each +-(i lambda) pair once.
     """
     sigma = fermionic._as_antisymmetric(sigma)
     if sigma.shape[0] != 4:
         raise StructuralError(f"log negativity needs exactly two modes, got shape {sigma.shape}")
     s2 = -np.log(fermionic.purity(sigma))
 
-    cross = sigma_cross(sigma)
-    cross_lams = _paired_magnitudes(cross)
+    # the upper half of the sorted +-(i lambda_cross), descending
+    cross_lams = sigma_cross(sigma).imag[:1:-1]
     if np.any(cross_lams > 1.0 + COMPOSITE_TOL):
         raise NumericalError(
             f"composite spectrum magnitude {np.max(cross_lams):.6e} exceeds 1"
@@ -167,17 +159,3 @@ def duan_fermionic(sigma, alpha: float = 1.0, beta: float = 1.0) -> DuanResult:
     quantity = float(var_u + var_v)
     bound = float(alpha ** 2 + beta ** 2)
     return DuanResult(quantity=quantity, bound=bound, entangled_flag=quantity < bound)
-
-
-def _paired_magnitudes(eigs: np.ndarray) -> np.ndarray:
-    if max_abs(eigs.real) > 1e-7 * max(1.0, max_abs(eigs)):
-        raise NumericalError("composite spectrum is not purely imaginary")
-    lams = np.sort(np.abs(eigs.imag))[::-1]
-    paired = []
-    for i in range(0, lams.size, 2):
-        if abs(lams[i] - lams[i + 1]) > 1e-7 * max(1.0, lams[i]):
-            raise NumericalError(
-                f"composite eigenvalues failed to pair: {lams[i]:.6e} vs {lams[i + 1]:.6e}"
-            )
-        paired.append(0.5 * (lams[i] + lams[i + 1]))
-    return np.asarray(paired)

@@ -4,7 +4,9 @@ Majorana normalization: anticommutators equal the Kronecker delta, so each
 operator squares to one half. The covariance matrix sigma[j, k] is i times
 the expectation of the Majorana commutator; it is real antisymmetric with
 spectrum +-(i lambda_j), physical when every |lambda_j| <= 1 and pure when
-all |lambda_j| = 1. First moments vanish identically by parity.
+all |lambda_j| = 1. First moments vanish identically by parity. Since
+i sigma is Hermitian, every spectral quantity here (mode magnitudes, the
+Gibbs kernel and its inverse) comes from one ``eigh`` of it.
 """
 
 from __future__ import annotations
@@ -14,22 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lyapunov
-from ._util import antisymmetrize, max_abs, require_square, require_squares, scipy_linalg
+from ._util import antisymmetrize, max_abs, require_square, require_squares
 from .bosonic import Trajectory
 from .errors import BoundaryError, StructuralError
 from .model import FERMIONIC, GeneralizedLindbladModel, require_valid
 
 # Slack above the physical bound |lambda| <= 1.
 PHYSICALITY_TOL = 1e-9
-# Relative gap within which two eigenvalue magnitudes of sigma count as one
-# +-(i lambda) pair.
-PAIRING_TOL = 1e-9
-# A real Schur subdiagonal entry above SCHUR_TOL times max(1, max|m|) opens a
-# 2x2 block.
-SCHUR_TOL = 1e-12
 # Modes with |lambda| >= 1 - BOUNDARY_TOL are pure: their thermal kernel diverges.
 BOUNDARY_TOL = 1e-9
-schur = scipy_linalg("schur")
 
 
 @dataclass(frozen=True)
@@ -98,20 +93,19 @@ def build_drift_diffusion(model: GeneralizedLindbladModel) -> FermionicDriftDiff
     """Assemble (X, Y) from a validated fermionic model.
 
     X = G - Re(F^dag Gamma^T F) and Y = -2 Im(F^dag Gamma^T F); Hermiticity
-    of the decoherence matrix makes Y exactly antisymmetric. The transpose
-    mirrors the bosonic construction: it is fixed by the requirement that
-    diagonalizing the decoherence matrix leaves the dynamics unchanged, and
-    is validated against dense brute-force moment derivatives.
+    of the decoherence matrix makes Y antisymmetric up to the defect that
+    validation allows, and Y is antisymmetrized as the bosonic D is
+    symmetrized. The transpose mirrors the bosonic construction: it is fixed
+    by the requirement that diagonalizing the decoherence matrix leaves the
+    dynamics unchanged, and is validated against dense brute-force moment
+    derivatives.
     """
     if model.flavor != FERMIONIC:
         raise StructuralError(f"expected a fermionic model, got {model.flavor!r}")
     require_valid(model)
     s = model.f.conj().T @ model.gamma.T @ model.f
     x = model.hamiltonian - s.real
-    y_raw = -2.0 * s.imag
-    if max_abs(y_raw + y_raw.T) > 1e-12 * max(1.0, max_abs(y_raw)):
-        raise StructuralError("diffusion matrix lost antisymmetry; check Gamma Hermiticity")
-    return FermionicDriftDiffusion(x=x, y=antisymmetrize(y_raw))
+    return FermionicDriftDiffusion(x=x, y=antisymmetrize(-2.0 * s.imag))
 
 
 def propagate_covariance(dd: FermionicDriftDiffusion, sigma0, times,
@@ -153,21 +147,12 @@ def check_physicality(sigma) -> tuple[bool, float]:
 
 
 def mode_spectrum(sigma) -> np.ndarray:
-    """Per-mode eigenvalue magnitudes lambda_j, each +-(i lambda) pair once.
+    """Per-mode eigenvalue magnitudes lambda_j, descending, each +-(i lambda) pair once.
 
-    Pairs are matched by sorted magnitude with a greedy tolerance check, so
-    degenerate spectra resolve deterministically.
+    These are the N largest eigenvalues of the Hermitian i sigma.
     """
     sigma = _as_antisymmetric(sigma)
-    lams = np.sort(np.abs(np.linalg.eigvalsh(1j * sigma)))[::-1]
-    paired = []
-    for i in range(0, lams.size, 2):
-        if abs(lams[i] - lams[i + 1]) > PAIRING_TOL * max(1.0, lams[i]):
-            raise StructuralError(
-                f"eigenvalues of sigma failed to pair: {lams[i]:.6e} vs {lams[i + 1]:.6e}"
-            )
-        paired.append(0.5 * (lams[i] + lams[i + 1]))
-    return np.asarray(paired)
+    return np.linalg.eigvalsh(1j * sigma)[::-1][:sigma.shape[0] // 2]
 
 
 def purity(sigma) -> float:
@@ -176,65 +161,40 @@ def purity(sigma) -> float:
     return float(np.prod((1.0 + lams ** 2) / 2.0))
 
 
-def schur_blocks(m) -> tuple[np.ndarray, list[tuple[int, float]], list[int]]:
-    """Real Schur reduction of an antisymmetric matrix into 2x2 blocks.
-
-    Returns (q, pairs, singles): q is orthogonal, pairs lists (index, lam)
-    where rows (index, index + 1) of qT m q form [[0, lam], [-lam, 0]], and
-    singles lists leftover 1x1 zero positions.
-    """
-    m = _as_antisymmetric(m)
-    t, q = schur(m, output="real")
-    scale = max(1.0, max_abs(m))
-    pairs: list[tuple[int, float]] = []
-    singles: list[int] = []
-    i = 0
-    n = m.shape[0]
-    while i < n:
-        if i + 1 < n and abs(t[i + 1, i]) > SCHUR_TOL * scale:
-            lam = 0.5 * (t[i, i + 1] - t[i + 1, i])
-            pairs.append((i, lam))
-            i += 2
-        else:
-            singles.append(i)
-            i += 1
-    return q, pairs, singles
-
-
-def _rebuild_from_blocks(q: np.ndarray, pairs: list[tuple[int, float]], n: int) -> np.ndarray:
-    t = np.zeros((n, n))
-    for idx, lam in pairs:
-        t[idx, idx + 1] = lam
-        t[idx + 1, idx] = -lam
-    return antisymmetrize(q @ t @ q.T)
-
-
 def covariance_to_gibbs(sigma) -> GibbsKernel:
     """Map a strictly mixed covariance to its thermal quadratic kernel.
 
-    Blockwise inverse hyperbolic tangent: a mode with magnitude lambda maps
+    Modewise inverse hyperbolic tangent: a mode with magnitude lambda maps
     to kernel parameter 2 artanh(lambda). Pure modes sit at the boundary
     where the kernel diverges and are rejected.
     """
-    sigma = _as_antisymmetric(sigma)
-    q, pairs, _singles = schur_blocks(sigma)
-    kernel_pairs = []
-    for idx, lam in pairs:
-        if abs(lam) >= 1.0 - BOUNDARY_TOL:
+    def kernel_parameters(mu):
+        lam = max_abs(mu)
+        if lam >= 1.0 - BOUNDARY_TOL:
             raise BoundaryError(
-                f"mode magnitude {abs(lam):.12f} is at the pure-state boundary; "
+                f"mode magnitude {lam:.12f} is at the pure-state boundary; "
                 "the thermal kernel diverges"
             )
-        kernel_pairs.append((idx, 2.0 * np.arctanh(lam)))
-    return GibbsKernel(k=_rebuild_from_blocks(q, kernel_pairs, sigma.shape[0]))
+        return 2.0 * np.arctanh(mu)
+
+    return GibbsKernel(k=_map_modes(_as_antisymmetric(sigma), kernel_parameters))
 
 
 def gibbs_to_covariance(kernel) -> FermionicGaussianState:
-    """Inverse of :func:`covariance_to_gibbs`: blockwise tanh(kappa / 2)."""
+    """Inverse of :func:`covariance_to_gibbs`: modewise tanh(kappa / 2)."""
     k = kernel.k if isinstance(kernel, GibbsKernel) else _as_antisymmetric(kernel)
-    q, pairs, _singles = schur_blocks(k)
-    sigma_pairs = [(idx, np.tanh(0.5 * kappa)) for idx, kappa in pairs]
-    return FermionicGaussianState(sigma=_rebuild_from_blocks(q, sigma_pairs, k.shape[0]))
+    return FermionicGaussianState(sigma=_map_modes(k, lambda mu: np.tanh(0.5 * mu)))
+
+
+def _map_modes(m: np.ndarray, f) -> np.ndarray:
+    """Antisymmetric ``m`` with each +-(i lambda) pair mapped to +-(i f(lambda)).
+
+    ``f`` is an odd real function, applied to the eigenvalues mu of the
+    Hermitian i m = U diag(mu) U^dag; the result is the real part of
+    -i U diag(f(mu)) U^dag, antisymmetrized.
+    """
+    mu, u = np.linalg.eigh(1j * m)
+    return antisymmetrize((-1j * (u * f(mu)) @ u.conj().T).real)
 
 
 def _as_antisymmetric(sigma) -> np.ndarray:

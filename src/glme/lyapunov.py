@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._util import pade13_expm, scipy_linalg
+from ._util import pade13_expm
 from .errors import NumericalError, StabilityError, StructuralError
 
 # Absolute, not relative to ||a||: perfbench/workloads.py:HURWITZ_TOL mirrors
@@ -26,7 +26,6 @@ RESIDUAL_TOL = 1e-10
 # of every Van Loan block stay inside theta_13 = 5.37 of the Pade kernel.
 BASE_STEP_NORM = 4.0
 expm = pade13_expm  # a module global, which callers may replace
-solve_continuous_lyapunov = scipy_linalg("solve_continuous_lyapunov")
 
 
 def spectral_abscissa(a: np.ndarray) -> float:
@@ -45,8 +44,11 @@ def solve_fixed_point(a: np.ndarray, q: np.ndarray) -> np.ndarray:
 
     The solution is returned when its backward error
     ||a X + X aT + q||_F / (2 ||a||_F ||X||_F + ||q||_F) is at most
-    RESIDUAL_TOL; otherwise NumericalError carries that error.
+    RESIDUAL_TOL; otherwise NumericalError carries that error. scipy.linalg
+    loads at the first call, not with glme.
     """
+    from scipy.linalg import solve_continuous_lyapunov
+
     x = solve_continuous_lyapunov(a, -q)
     residual = float(np.linalg.norm(a @ x + x @ a.T + q))
     scale = 2.0 * np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(q)

@@ -52,6 +52,11 @@ def _embed(op: np.ndarray, mode: int, dims: list[int], sparse: bool):
     return out
 
 
+def _dense(op) -> np.ndarray:
+    """``op`` as an ndarray: sparse storage, as ``x_ops`` has above _DENSE_CUTOFF, is densified."""
+    return op.toarray() if sp.issparse(op) else op
+
+
 def _dagger(op):
     if sp.issparse(op):
         return op.conj().T.tocsr()
@@ -207,6 +212,7 @@ class _DenseEngine:
 
     def liouvillian(self, rho: np.ndarray) -> np.ndarray:
         """Right-hand side of the master equation applied to a density matrix."""
+        rho = _dense(rho)
         h = self.hamiltonian_op
         out = -1j * (h @ rho - rho @ h)
         for weight, op, op_dag in self._sandwiches:
@@ -216,6 +222,7 @@ class _DenseEngine:
 
     def liouvillian_adjoint(self, obs: np.ndarray) -> np.ndarray:
         """Adjoint generator acting on an observable (Heisenberg picture)."""
+        obs = _dense(obs)
         h = self.hamiltonian_op
         out = 1j * (h @ obs - obs @ h)
         for weight, op, op_dag in self._sandwiches:

@@ -201,14 +201,6 @@ class TestEntanglement:
         assert result.exit_code == 0
         assert json.loads(result.output)["value"] == pytest.approx(np.log(2.0), abs=1e-8)
 
-    def test_strict_paper_flag(self, runner, tmp_path):
-        path = str(tmp_path / "tmsv.json")
-        io.save_state(bosonic.GaussianState(np.zeros(4), tmsv_cov(0.5)), path)
-        result = runner.invoke(main, [
-            "entanglement", "--state", path, "--measure", "logneg", "--strict-paper",
-        ])
-        assert json.loads(result.output)["value"] == pytest.approx(1.0 - np.log(2.0), abs=1e-9)
-
     def test_single_mode_rejected(self, runner, tmp_path):
         path = str(tmp_path / "one.json")
         io.save_state(bosonic.GaussianState(np.zeros(2), np.eye(2)), path)

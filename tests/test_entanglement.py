@@ -84,12 +84,6 @@ class TestLogNegativityBosonic:
         assert result.auxiliary_spectrum[0] == pytest.approx(np.exp(-2.0 * r), rel=1e-12)
         assert result.value == pytest.approx(2.0 * r, rel=1e-12)
 
-    def test_strict_paper_variant_differs_by_log_two(self):
-        r = 0.8
-        loose = entanglement.log_negativity_bosonic(tmsv_cov(r))
-        strict = entanglement.log_negativity_bosonic(tmsv_cov(r), strict_paper=True)
-        assert strict.value == pytest.approx(loose.value - np.log(2.0), rel=1e-12)
-
     def test_product_states_have_zero_negativity(self, rng):
         for _ in range(20):
             v = np.zeros((4, 4))
@@ -131,12 +125,16 @@ class TestSigmaCross:
         spectrum = entanglement.sigma_cross(np.zeros((4, 4)))
         np.testing.assert_allclose(spectrum, np.zeros(4), atol=1e-14)
 
-    def test_product_state_block_structure(self, rng):
-        lam1, lam2 = 0.6, 0.3
+    @pytest.mark.parametrize("lam1, lam2", [(0.6, 0.3), (0.5, 0.5)])
+    def test_product_state_block_structure(self, rng, lam1, lam2):
         sigma = np.zeros((4, 4))
         sigma[0, 1], sigma[1, 0] = lam1, -lam1
         sigma[2, 3], sigma[3, 2] = lam2, -lam2
-        spectrum = entanglement.sigma_cross(sigma)
+        # a mode-local orthogonal change of basis, improper on mode 1, keeps the spectrum
+        local = np.zeros((4, 4))
+        local[:2, :2] = rotation(rng.uniform(0.0, 2.0 * np.pi)) @ np.diag([1.0, -1.0])
+        local[2:, 2:] = rotation(rng.uniform(0.0, 2.0 * np.pi))
+        spectrum = entanglement.sigma_cross(local @ sigma @ local.T)
         mags = np.sort(np.abs(spectrum.imag))
         expected = np.sort([2 * lam1 / (1 + lam1 ** 2)] * 2 + [2 * lam2 / (1 + lam2 ** 2)] * 2)
         np.testing.assert_allclose(np.sort(mags), expected, atol=1e-12)

@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
+from scipy.stats import ortho_group
 
 import glme
-from glme import fermionic, oracle
+from glme import bosonic, fermionic, oracle
 from glme.errors import BoundaryError, PositivityError, StabilityError, StructuralError
 
 from conftest import (
     fermionic_decay_model,
     random_fermionic_model,
+    random_hermitian_psd,
     random_physical_sigma,
     random_stable_fermionic,
 )
@@ -58,6 +61,16 @@ class TestBuildDriftDiffusion:
         )
         with pytest.raises(PositivityError):
             fermionic.build_drift_diffusion(m)
+
+    def test_gamma_inside_validation_slack_builds_in_both_flavors(self, rng):
+        # a Hermitian defect of 1e-11 passes validation, so neither builder may refuse it
+        f = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        gamma = random_hermitian_psd(rng, 2) + 1e-11 * J
+        bosonic.build_drift_diffusion(
+            glme.GeneralizedLindbladModel("bosonic", 1, np.zeros((2, 2)), f, gamma))
+        dd = fermionic.build_drift_diffusion(
+            glme.GeneralizedLindbladModel("fermionic", 1, np.zeros((2, 2)), f, gamma))
+        assert np.array_equal(dd.y, -dd.y.T)
 
     def test_y_exactly_antisymmetric_for_hermitian_gamma(self, rng):
         for _ in range(10):
@@ -212,10 +225,18 @@ class TestGibbsMapping:
         state = fermionic.gibbs_to_covariance(np.zeros((4, 4)))
         np.testing.assert_allclose(state.sigma, np.zeros((4, 4)))
 
-    def test_single_mode_closed_form(self):
+    def test_closed_form(self, rng):
         kappa = 2.0 * np.arctanh(0.5)
         state = fermionic.gibbs_to_covariance(kappa * J)
         assert state.sigma[0, 1] == pytest.approx(0.5, abs=1e-14)
+        # a degenerate pair and a nearly maximally mixed mode, in a rotated basis
+        lam = 0.7
+        q = ortho_group.rvs(6, random_state=rng)
+        sigma = q @ block_diag(lam * J, lam * J, 1e-13 * J) @ q.T
+        kappa = 2.0 * np.arctanh(lam)
+        expected = q @ block_diag(kappa * J, kappa * J, 2.0 * np.arctanh(1e-13) * J) @ q.T
+        kernel = fermionic.covariance_to_gibbs(sigma)
+        assert np.max(np.abs(kernel.k - expected)) <= 1e-12
 
     def test_boundary_rejected(self):
         with pytest.raises(BoundaryError):

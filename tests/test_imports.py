@@ -15,9 +15,9 @@ from pathlib import Path
 import pytest
 
 import glme
-from glme import io
+from glme import fermionic, io
 
-from conftest import damped_oscillator_model, fermionic_decay_model
+from conftest import bell_pair_sigma, damped_oscillator_model, fermionic_decay_model
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -93,8 +93,14 @@ class TestColdStart:
         assert _fresh(_CLI_PROBE, "evolve", "--model", model_file, "--steps", "4",
                       "--output", str(tmp_path / "traj.csv")) == []
 
-    def test_import_lyapunov_loads_no_scipy(self):
-        assert _fresh("import json, sys\nimport glme.lyapunov\n" + _REPORT) == []
+    @pytest.mark.parametrize("module", ["lyapunov", "fermionic", "entanglement"])
+    def test_import_loads_no_scipy(self, module):
+        assert _fresh(f"import json, sys\nimport glme.{module}\n" + _REPORT) == []
+
+    def test_fermionic_logneg_loads_no_scipy(self, tmp_path):
+        path = str(tmp_path / "bell.json")
+        io.save_state(fermionic.FermionicGaussianState(bell_pair_sigma()), path)
+        assert _fresh(_CLI_PROBE, "entanglement", "--state", path, "--measure", "logneg") == []
 
 
 class TestLazyPackage:

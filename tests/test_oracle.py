@@ -399,16 +399,18 @@ class TestGeneratorChecks:
             rho = oracle.random_density(rng, engine.dim)
             assert oracle.adjoint_consistency_check(engine, obs, rho) <= 1e-12
 
-    def test_adjoint_reproduces_mean_drift(self):
-        m = damped_oscillator_model(gamma=0.5, omega=2.0)
-        engine = oracle.DenseBosonicEngine(m, fock_dim=24)
+    @pytest.mark.parametrize("n_modes, fock_dim", [(1, 24), (2, 9)])
+    def test_adjoint_reproduces_mean_drift(self, n_modes, fock_dim):
+        # two modes at fock_dim 9 (dim 81) store x_ops sparse
+        m = (damped_oscillator_model(gamma=0.5, omega=2.0) if n_modes == 1
+             else random_bosonic_model(np.random.default_rng(5), 2))
+        engine = oracle.DenseBosonicEngine(m, fock_dim=fock_dim)
         dd = bosonic.build_drift_diffusion(m)
         # displaced state with nonzero mean, supported well below truncation
-        rho = oracle._supported_density(np.random.default_rng(2), engine, 8)
+        rho = oracle._supported_density(np.random.default_rng(2), engine, fock_dim // 3)
         mean, _ = engine.extract_mean_and_v(rho)
-        q_dot = np.trace(engine.liouvillian_adjoint(engine.x_ops[0]) @ rho).real
-        p_dot = np.trace(engine.liouvillian_adjoint(engine.x_ops[1]) @ rho).real
-        np.testing.assert_allclose([q_dot, p_dot], dd.a @ mean, atol=1e-8)
+        drift = [np.trace(engine.liouvillian_adjoint(x) @ rho).real for x in engine.x_ops]
+        np.testing.assert_allclose(drift, dd.a @ mean, atol=1e-8)
 
     def test_moment_closure_random_models(self, rng):
         closure_b = oracle.moment_closure_check(random_bosonic_model(rng, 1), fock_dim=20)
