@@ -19,8 +19,6 @@ from .errors import NumericalError, StructuralError
 from .bosonic import GaussianState
 from .model import symplectic_form
 
-# sigma_cross clamps fermionic mode magnitudes to at most 1 - CLAMP_EPS.
-CLAMP_EPS = 1e-8
 # Slack above 1 allowed in the composite spectrum.
 COMPOSITE_TOL = 1e-9
 
@@ -99,18 +97,15 @@ def sigma_cross(sigma) -> np.ndarray:
     F is positive definite, with eigenvalues (1 + lambda^2) / 2 >= 1/2, so
     with F = L LT (Cholesky) the composite is similar to the antisymmetric
     C = L^{-1} blockdiag(sigma_1, -sigma_2) L^{-T}. Returns the eigenvalues
-    of C, +-(i lambda_cross) pairs sorted by imaginary part. Mode magnitudes
-    above 1 - CLAMP_EPS are first clamped to 1 - CLAMP_EPS.
+    of C, +-(i lambda_cross) pairs sorted by imaginary part.
     """
     sigma = fermionic._as_antisymmetric(sigma)
     if sigma.shape[0] != 4:
         raise StructuralError(f"sigma_cross needs exactly two modes, got shape {sigma.shape}")
-    bound = 1.0 - CLAMP_EPS
-    sigma_c = fermionic._map_modes(sigma, lambda mu: np.clip(mu, -bound, bound))
-    low = np.linalg.cholesky(0.5 * (np.eye(4) - sigma_c @ sigma_c))
+    low = np.linalg.cholesky(0.5 * (np.eye(4) - sigma @ sigma))
     local = np.zeros((4, 4))
-    local[:2, :2] = sigma_c[:2, :2]
-    local[2:, 2:] = -sigma_c[2:, 2:]
+    local[:2, :2] = sigma[:2, :2]
+    local[2:, 2:] = -sigma[2:, 2:]
     composite = np.linalg.solve(low, np.linalg.solve(low, local).T).T
     return 1j * np.linalg.eigvalsh(-1j * composite)
 

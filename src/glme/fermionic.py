@@ -25,6 +25,9 @@ from .model import FERMIONIC, GeneralizedLindbladModel, require_valid
 PHYSICALITY_TOL = 1e-9
 # Modes with |lambda| >= 1 - BOUNDARY_TOL are pure: their thermal kernel diverges.
 BOUNDARY_TOL = 1e-9
+# Largest max|m + mT| accepted of a matrix that should be antisymmetric, relative
+# to max(1, max|m|); what is accepted is stored as its antisymmetric part.
+ANTISYMMETRY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -37,10 +40,7 @@ class FermionicGaussianState:
         sigma = require_square(self.sigma, "sigma", dtype=float)
         if sigma.shape[0] % 2 != 0 or sigma.shape[0] == 0:
             raise StructuralError(f"sigma must be 2N x 2N, got shape {sigma.shape}")
-        defect = max_abs(sigma + sigma.T)
-        if defect > 1e-10 * max(1.0, max_abs(sigma)):
-            raise StructuralError(f"sigma must be antisymmetric (defect {defect:.3e})")
-        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "sigma", _antisymmetric(sigma, "sigma"))
 
     @classmethod
     def _trusted(cls, sigma: np.ndarray) -> "FermionicGaussianState":
@@ -66,10 +66,8 @@ class FermionicDriftDiffusion:
         y = require_square(self.y, "Y", dtype=float)
         if y.shape != x.shape:
             raise StructuralError("X and Y must have matching shapes")
-        if max_abs(y + y.T) > 1e-12 * max(1.0, max_abs(y)):
-            raise StructuralError("Y must be antisymmetric")
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "y", _antisymmetric(y, "Y"))
 
     @property
     def n_modes(self) -> int:
@@ -83,10 +81,7 @@ class GibbsKernel:
     k: np.ndarray
 
     def __post_init__(self):
-        k = require_square(self.k, "K", dtype=float)
-        if max_abs(k + k.T) > 1e-10 * max(1.0, max_abs(k)):
-            raise StructuralError("K must be antisymmetric")
-        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "k", _antisymmetric(require_square(self.k, "K", dtype=float), "K"))
 
 
 def build_drift_diffusion(model: GeneralizedLindbladModel) -> FermionicDriftDiffusion:
@@ -140,7 +135,7 @@ def check_physicality(sigma) -> tuple[bool, float]:
     if isinstance(sigma, FermionicGaussianState):
         sigma = sigma.sigma
     else:
-        sigma = _antisymmetric(require_squares(sigma, "sigma"))
+        sigma = _antisymmetric(require_squares(sigma, "sigma"), "sigma")
     # i sigma is Hermitian with real eigenvalues +-lambda_j
     max_lambda = max_abs(np.linalg.eigvalsh(1j * sigma))
     return max_lambda <= 1.0 + PHYSICALITY_TOL, max_lambda
@@ -200,13 +195,13 @@ def _map_modes(m: np.ndarray, f) -> np.ndarray:
 def _as_antisymmetric(sigma) -> np.ndarray:
     if isinstance(sigma, FermionicGaussianState):
         return sigma.sigma
-    return _antisymmetric(require_square(sigma, "sigma", dtype=float))
+    return _antisymmetric(require_square(sigma, "sigma", dtype=float), "sigma")
 
 
-def _antisymmetric(sigma: np.ndarray) -> np.ndarray:
-    """Antisymmetric part over the last two axes, after a defect check."""
-    sigma_t = np.swapaxes(sigma, -1, -2)
-    defect = max_abs(sigma + sigma_t)
-    if defect > 1e-9 * max(1.0, max_abs(sigma)):
-        raise StructuralError(f"matrix must be antisymmetric (defect {defect:.3e})")
-    return 0.5 * (sigma - sigma_t)
+def _antisymmetric(m: np.ndarray, name: str) -> np.ndarray:
+    """Antisymmetric part over the last two axes, after a defect check at ANTISYMMETRY_TOL."""
+    m_t = np.swapaxes(m, -1, -2)
+    defect = max_abs(m + m_t)
+    if defect > ANTISYMMETRY_TOL * max(1.0, max_abs(m)):
+        raise StructuralError(f"{name} must be antisymmetric (defect {defect:.3e})")
+    return 0.5 * (m - m_t)

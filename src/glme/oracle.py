@@ -3,18 +3,25 @@
 Everything here validates covariance-level results against direct density
 matrix algebra in small dense spaces, without assuming Gaussianity or
 trusting the moment machinery under test. Each engine applies its generator
-in operator form (``liouvillian`` and the Heisenberg ``liouvillian_adjoint``)
-and also assembles it once, on demand, as a sparse CSR superoperator on
-row-major vectorized states. That matrix is block diagonal up to a
-permutation: a quadratic Hamiltonian with linear channels never changes the
-parity of m + n in |m><n| (the Jordan-Wigner parities for fermions).
-Evolution touches only the invariant sectors the initial state occupies,
-with ``scipy.sparse.linalg.expm_multiply`` at any dimension or, for small
+in operator form, L(rho) = G rho + rho G' + sum_j F_j rho B_j with
+G = -iH - K/2, G' = iH - K/2 and B_j = sum_k gamma[j, k] F_k^dag (the double
+sum over the decoherence matrix grouped by its rows), in ``liouvillian`` and
+the Heisenberg ``liouvillian_adjoint``. It also assembles the generator
+once, on demand, as a sparse CSR superoperator on row-major vectorized
+states. That matrix is block diagonal up to a permutation: a quadratic
+Hamiltonian with linear channels never changes the parity of m + n in
+|m><n| (the Jordan-Wigner parities for fermions). Evolution touches only
+the invariant sectors the initial state occupies, with
+``scipy.sparse.linalg.expm_multiply`` at any dimension or, for small
 dimensions, one dense exponential per sector. A sector whose part of the
 state is below the rounding floor dim * eps * ||rho0|| stays exactly zero.
+Moments are read as traces Tr(a rho) = sum_ij a_ij rho_ji over the stored
+entries of a, in O(nnz(a)), with no matrix product formed.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -152,10 +159,11 @@ def _occupied_sectors(mat: sp.csr_matrix, vec: np.ndarray, dim: int) -> list[np.
 
 
 def _trace_product(a, rho: np.ndarray) -> complex:
-    """Tr(a rho) for sparse or dense ``a``."""
+    """Tr(a rho) = sum_ij a_ij rho_ji over the stored entries of sparse or dense ``a``."""
     if sp.issparse(a):
-        return complex((a @ rho).trace())
-    return complex(np.trace(a @ rho))
+        a = a.tocoo()
+        return complex(a.data @ rho[a.col, a.row])
+    return complex(np.sum(a * rho.T))
 
 
 class _DenseEngine:
@@ -177,21 +185,25 @@ class _DenseEngine:
     mix_channels: bool = False
 
     def _finalize(self):
-        self._f_dags = [_dagger(f) for f in self.f_ops]
+        f_dags = [_dagger(f) for f in self.f_ops]
         # K = sum_jk gamma[j, k] f_k^dag f_j
-        self._k_op = _quadratic(self.gamma.T, self._f_dags, self.f_ops, self._zero)
-        self._sandwiches = self._build_sandwiches()
+        k_op = _quadratic(self.gamma.T, f_dags, self.f_ops, self._zero)
+        h = self.hamiltonian_op
+        self._g = -1j * h - 0.5 * k_op
+        self._g_prime = 1j * h - 0.5 * k_op
+        self._sandwiches = self._build_sandwiches(f_dags)
         self._superop = None
 
-    def _build_sandwiches(self):
-        """Weighted (op, op_dag) pairs whose sandwich sum forms the dissipator.
+    def _build_sandwiches(self, f_dags: list) -> list:
+        """(F_j, B_j) pairs whose sandwich sum sum_j F_j rho B_j is the jump part of the dissipator.
 
-        Default is the direct double sum over the decoherence matrix. With
+        Grouping the double sum sum_jk gamma[j, k] F_j rho F_k^dag along the
+        rows of the decoherence matrix gives B_j = sum_k gamma[j, k] F_k^dag:
+        one pair per nonzero row, so M sandwiches however the channels are
+        coupled, without diagonalizing the decoherence matrix. With
         ``mix_channels`` the Hermitian decoherence matrix is eigendecomposed
-        and one channel per nonzero rate is used instead: the count drops
-        from M^2 to M, which makes each operator-form application cheaper.
-        The two applications are the same linear map (pinned by a test); the
-        superoperator does not depend on the choice.
+        instead, one (rate * op, op^dag) pair per nonzero rate. Both are the
+        same linear map (pinned by a test); the superoperator uses neither.
         """
         if self.mix_channels:
             defect = max_abs(self.gamma - self.gamma.conj().T)
@@ -205,29 +217,25 @@ class _DenseEngine:
             for rate, vec in zip(evals, vecs.T):
                 if abs(rate) >= 1e-14:
                     op = _combine(vec, self.f_ops, self._zero)
-                    pairs.append((float(rate), op, _dagger(op)))
+                    pairs.append((float(rate) * op, _dagger(op)))
             return pairs
-        return [(g, self.f_ops[j], self._f_dags[k])
-                for (j, k), g in np.ndenumerate(self.gamma) if g != 0]
+        return [(f, _combine(row, f_dags, self._zero))
+                for f, row in zip(self.f_ops, self.gamma) if np.any(row != 0)]
 
     def liouvillian(self, rho: np.ndarray) -> np.ndarray:
-        """Right-hand side of the master equation applied to a density matrix."""
+        """Right-hand side of the master equation, G rho + rho G' + sum_j F_j rho B_j."""
         rho = _dense(rho)
-        h = self.hamiltonian_op
-        out = -1j * (h @ rho - rho @ h)
-        for weight, op, op_dag in self._sandwiches:
-            out = out + weight * ((op @ rho) @ op_dag)
-        out = out - 0.5 * (self._k_op @ rho + rho @ self._k_op)
+        out = self._g @ rho + rho @ self._g_prime
+        for op, right in self._sandwiches:
+            out += (op @ rho) @ right
         return np.asarray(out)
 
     def liouvillian_adjoint(self, obs: np.ndarray) -> np.ndarray:
-        """Adjoint generator acting on an observable (Heisenberg picture)."""
+        """Adjoint generator on an observable (Heisenberg picture), G' O + O G + sum_j B_j O F_j."""
         obs = _dense(obs)
-        h = self.hamiltonian_op
-        out = 1j * (h @ obs - obs @ h)
-        for weight, op, op_dag in self._sandwiches:
-            out = out + weight * ((op_dag @ obs) @ op)
-        out = out - 0.5 * (self._k_op @ obs + obs @ self._k_op)
+        out = self._g_prime @ obs + obs @ self._g
+        for op, right in self._sandwiches:
+            out += (right @ obs) @ op
         return np.asarray(out)
 
     def superoperator(self) -> sp.csr_matrix:
@@ -243,10 +251,8 @@ class _DenseEngine:
         equation, with G = -iH - K/2, G' = iH - K/2, the basis operators b,
         and C = E^T Gamma conj(E) for E = ``basis_rows``.
         """
-        h, k_op = self.hamiltonian_op, self._k_op
         ident = _triplets(sp.identity(self.dim, dtype=complex))
-        terms = [(1.0, _triplets(-1j * h - 0.5 * k_op), ident),
-                 (1.0, ident, _triplets((1j * h - 0.5 * k_op).T))]
+        terms = [(1.0, _triplets(self._g), ident), (1.0, ident, _triplets(self._g_prime.T))]
         basis = [_triplets(b) for b in self.basis_ops]
         coeffs = self.basis_rows.T @ self.gamma @ self.basis_rows.conj()
         for mu, b_mu in enumerate(basis):
@@ -384,15 +390,20 @@ class DenseBosonicEngine(_DenseEngine):
         rho[0, 0] = 1.0
         return rho
 
+    @cached_property
+    def _anticommutators(self) -> dict:
+        """{x_j, x_k} for j <= k, keyed by (j, k)."""
+        x = self.x_ops
+        return {(j, k): x[j] @ x[k] + x[k] @ x[j]
+                for j in range(len(x)) for k in range(j, len(x))}
+
     def _moments(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Tr(x_j rho) and Tr(x_k {x_j, rho}), the parts of the moments linear in rho."""
+        """Tr(x_j rho) and Tr({x_j, x_k} rho), the parts of the moments linear in rho."""
         n2 = 2 * self.n_modes
         first = np.array([_trace_product(x, rho).real for x in self.x_ops])
         second = np.zeros((n2, n2))
-        for j in range(n2):
-            anti = np.asarray(self.x_ops[j] @ rho + rho @ self.x_ops[j])
-            for k in range(j, n2):
-                second[j, k] = second[k, j] = _trace_product(self.x_ops[k], anti).real
+        for (j, k), anti in self._anticommutators.items():
+            second[j, k] = second[k, j] = _trace_product(anti, rho).real
         return first, second
 
     def extract_mean_and_v(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -480,16 +491,21 @@ class DenseFermionicEngine(_DenseEngine):
     def maximally_mixed(self) -> np.ndarray:
         return np.eye(self.dim, dtype=complex) / self.dim
 
+    @cached_property
+    def _commutators(self) -> dict:
+        """[w_j, w_k] for j < k, keyed by (j, k)."""
+        w = self.w_ops
+        return {(j, k): w[j] @ w[k] - w[k] @ w[j]
+                for j in range(len(w)) for k in range(j + 1, len(w))}
+
     def extract_sigma(self, rho: np.ndarray) -> np.ndarray:
-        """Majorana commutator covariance from a density matrix."""
+        """Majorana commutator covariance sigma[j, k] = Re(i Tr([w_j, w_k] rho))."""
         n2 = 2 * self.n_modes
         sigma = np.zeros((n2, n2))
-        for j in range(n2):
-            for k in range(j + 1, n2):
-                comm = self.w_ops[j] @ self.w_ops[k] - self.w_ops[k] @ self.w_ops[j]
-                val = 1j * _trace_product(comm, rho)
-                sigma[j, k] = val.real
-                sigma[k, j] = -val.real
+        for (j, k), comm in self._commutators.items():
+            val = (1j * _trace_product(comm, rho)).real
+            sigma[j, k] = val
+            sigma[k, j] = -val
         return sigma
 
 

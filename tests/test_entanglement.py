@@ -174,6 +174,21 @@ class TestLogNegativityFermionic:
             dense = oracle.dense_negativity_fermionic(rho)
             assert value == pytest.approx(dense, abs=1e-6)
 
+    def test_pure_states_give_reduced_renyi_half_entropy(self, rng):
+        # for a pure state the log negativity is the Renyi-1/2 entropy of one mode,
+        # whose magnitude nu is that of the mode's own 2 x 2 block
+        core = np.zeros((4, 4))
+        core[0, 1] = core[2, 3] = 1.0
+        core -= core.T
+        for _ in range(200):
+            q, r = np.linalg.qr(rng.standard_normal((4, 4)))
+            q *= np.sign(np.diag(r))
+            sigma = q @ core @ q.T
+            nu = abs(sigma[0, 1])
+            expected = 2.0 * np.log(np.sqrt((1.0 + nu) / 2.0) + np.sqrt((1.0 - nu) / 2.0))
+            value = entanglement.log_negativity_fermionic(sigma).value
+            assert abs(value - expected) <= 1e-12
+
     def test_purity_path_consistency(self, rng):
         sigma = random_physical_sigma(rng, 2, lam_max=0.9)
         lams = fermionic.mode_spectrum(sigma)

@@ -271,6 +271,24 @@ class TestStructure:
         with pytest.raises(StructuralError):
             fermionic.FermionicGaussianState(np.eye(2))
 
+    # Each way in to an antisymmetric matrix, returning what it stores.
+    antisymmetric_inputs = {
+        "state": lambda m: fermionic.FermionicGaussianState(m).sigma,
+        "drift_diffusion": lambda m: fermionic.FermionicDriftDiffusion(x=np.eye(2), y=m).y,
+        "gibbs_kernel": lambda m: fermionic.GibbsKernel(m).k,
+        "free_check": lambda m: fermionic._antisymmetric(m, "m"),
+    }
+
+    @pytest.mark.parametrize("store", list(antisymmetric_inputs))
+    def test_one_antisymmetry_bound_and_exact_storage(self, store):
+        store = self.antisymmetric_inputs[store]
+        J = np.array([[0.0, 0.3], [-0.3, 0.0]])
+        stored = store(J + 2e-11 * np.ones((2, 2)))
+        assert np.array_equal(stored + stored.T, np.zeros((2, 2)))
+        assert np.max(np.abs(stored - J)) <= 1e-15
+        with pytest.raises(StructuralError, match="antisymmetric"):
+            store(J + 1e-6 * np.ones((2, 2)))
+
     def test_flavor_mismatch_rejected(self):
         from conftest import damped_oscillator_model
 

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import glme
-from glme import bosonic, model, oracle
+from glme import bosonic, fermionic, model, oracle
 from glme.errors import PositivityError, StructuralError
 
-from conftest import damped_oscillator_model, random_bosonic_model
+from conftest import damped_oscillator_model, random_bosonic_model, random_fermionic_model
 
 
 class TestSymplecticForm:
@@ -199,3 +199,45 @@ class TestLadderConversion:
         for flavor in ("bosonic", "fermionic"):
             t = model.ladder_transform(3, flavor)
             np.testing.assert_allclose(t @ t.conj().T, np.eye(6), atol=1e-15)
+
+
+class TestScaleRelativeGates:
+    """Scaling H and Gamma by c scales the drift and the diffusion by c and keeps the fixed point."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.sampled_from(["bosonic", "fermionic"]),
+           st.integers(1, 2), st.booleans())
+    def test_verdicts_do_not_depend_on_scale(self, seed, flavor, n_modes, indefinite):
+        rng = np.random.default_rng(seed)
+        module = bosonic if flavor == "bosonic" else fermionic
+        draw = random_bosonic_model if flavor == "bosonic" else random_fermionic_model
+        m = draw(rng, n_modes, damping=1.0)
+        gamma = m.gamma
+        if indefinite:
+            eigs = np.linalg.eigvalsh(gamma)
+            gamma = gamma - (eigs[0] + 0.1 * eigs[-1]) * np.eye(gamma.shape[0])
+
+        def scaled(k):
+            return glme.GeneralizedLindbladModel(flavor, n_modes, 10.0 ** k * m.hamiltonian,
+                                                 m.f, 10.0 ** k * gamma)
+
+        if indefinite:
+            for k in range(-3, 4):
+                assert not model.validate_model(scaled(k)).is_valid
+            return
+        dd = module.build_drift_diffusion(m)
+        drift = dd.a if flavor == "bosonic" else dd.x
+        stable, abscissa = module.is_hurwitz(dd)
+        # HURWITZ_TOL is absolute: only drifts that clear it at every scale
+        assume(abscissa <= -1e-3 * np.linalg.norm(drift, 2))
+        ref = module.steady_state(dd)
+        ref_x = ref.v if flavor == "bosonic" else ref.sigma
+        physical, _ = module.check_physicality(ref_x)
+        for k in range(-3, 4):
+            assert model.validate_model(scaled(k)).is_valid
+            dd_k = module.build_drift_diffusion(scaled(k))
+            assert module.is_hurwitz(dd_k)[0] == stable
+            state = module.steady_state(dd_k)
+            x = state.v if flavor == "bosonic" else state.sigma
+            assert np.max(np.abs(x - ref_x)) <= 1e-9 * np.max(np.abs(ref_x))
+            assert module.check_physicality(x)[0] == physical

@@ -13,6 +13,7 @@ from conftest import (
     fermionic_decay_model,
     random_bosonic_model,
     random_fermionic_model,
+    random_hermitian_psd,
 )
 
 
@@ -108,7 +109,7 @@ def _quadratures(n_modes, fock_dim) -> list[np.ndarray]:
 
 
 def _assert_operators_match_definitions(engine, m, ops, h_scale):
-    """H = h_scale * sum_jk h_jk o_j o_k, f_l = sum_k F_lk o_k, K = sum_jk Gamma_jk f_k^dag f_j."""
+    """H = h_scale * sum_jk h_jk o_j o_k, f_l = sum_k F_lk o_k, K = sum_jk Gamma_jk f_k^dag f_j = -(G + G')."""
     n2 = len(ops)
     h_ref = h_scale * sum(m.hamiltonian[j, k] * ops[j] @ ops[k] for j in range(n2) for k in range(n2))
     f_ref = [sum(m.f[l, k] * ops[k] for k in range(n2)) for l in range(m.f.shape[0])]
@@ -117,7 +118,7 @@ def _assert_operators_match_definitions(engine, m, ops, h_scale):
     assert _relative_deviation(engine.hamiltonian_op, h_ref) <= 1e-13
     for got, ref in zip(engine.f_ops, f_ref, strict=True):
         assert _relative_deviation(got, ref) <= 1e-13
-    assert _relative_deviation(engine._k_op, k_ref) <= 1e-13
+    assert _relative_deviation(-(engine._g + engine._g_prime), k_ref) <= 1e-13
 
 
 class TestOperatorBuilders:
@@ -190,6 +191,74 @@ class TestSuperoperator:
         engine = oracle.DenseBosonicEngine(random_bosonic_model(rng, 2), fock_dim=6)
         with pytest.raises(StructuralError, match="32"):
             engine.evolve(engine.vacuum(), [0.0, 1.0], method="expm")
+
+
+def _zero_row_gamma(rng) -> np.ndarray:
+    """Three channels; the third has a zero row (and column) in the decoherence matrix."""
+    gamma = np.zeros((3, 3), dtype=complex)
+    gamma[:2, :2] = random_hermitian_psd(rng, 2)
+    return gamma
+
+
+def _off_diagonal_gamma(rng) -> np.ndarray:
+    """Three channels coupled only across: a zero diagonal, every row nonzero."""
+    c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    return np.array([[0.0, c[0], 0.0], [np.conj(c[0]), 0.0, c[1]], [0.0, np.conj(c[1]), 0.0]])
+
+
+class TestGroupedSandwiches:
+    """liouvillian = G rho + rho G' + sum_j F_j rho B_j with one pair per nonzero row of Gamma."""
+
+    engines = {
+        "bosonic_dense": lambda m: oracle.DenseBosonicEngine(m, fock_dim=12),
+        "bosonic_sparse": lambda m: oracle.DenseBosonicEngine(m, fock_dim=9),
+        "fermionic": oracle.DenseFermionicEngine,
+    }
+
+    @staticmethod
+    def _model(rng, kind, gamma):
+        if kind == "fermionic":
+            base = random_fermionic_model(rng, 2, 3)
+        else:
+            base = random_bosonic_model(rng, 1 if kind == "bosonic_dense" else 2, 3)
+        return model.GeneralizedLindbladModel(base.flavor, base.n_modes, base.hamiltonian,
+                                              base.f, gamma)
+
+    @pytest.mark.parametrize("gamma_of", [_zero_row_gamma, _off_diagonal_gamma],
+                             ids=["zero_row", "off_diagonal"])
+    @pytest.mark.parametrize("kind", list(engines))
+    def test_generator_and_adjoint_match_superoperator(self, rng, kind, gamma_of):
+        gamma = gamma_of(rng)
+        engine = self.engines[kind](self._model(rng, kind, gamma))
+        assert len(engine._sandwiches) == np.count_nonzero(np.any(gamma != 0, axis=1))
+        assert _superoperator_deviation(engine, rng) <= 1e-12
+        # Tr(O L(rho)) = vec(O^T) . S vec(rho), so L^dag(O)^T = unvec(S^T vec(O^T))
+        d = engine.dim
+        sup = engine.superoperator()
+        obs = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        ref = (sup.T @ obs.T.reshape(-1)).reshape(d, d).T
+        assert _relative_deviation(engine.liouvillian_adjoint(obs), ref) <= 1e-12
+
+
+class TestMomentReadout:
+    @pytest.mark.parametrize("fock_dim", [6, 9])   # dense (dim 36) and sparse (dim 81) storage
+    def test_bosonic_moments_match_dense_traces(self, rng, fock_dim):
+        engine = oracle.DenseBosonicEngine(random_bosonic_model(rng, 2), fock_dim=fock_dim)
+        x = _quadratures(2, fock_dim)
+        rho = oracle.random_density(rng, engine.dim)
+        mean_ref = np.array([np.trace(xj @ rho).real for xj in x])
+        second = np.array([[np.trace(xk @ (xj @ rho + rho @ xj)).real for xk in x] for xj in x])
+        mean, v = engine.extract_mean_and_v(rho)
+        assert np.max(np.abs(mean - mean_ref)) <= 1e-13
+        assert np.max(np.abs(v - (second - 2.0 * np.outer(mean_ref, mean_ref)))) <= 1e-13
+
+    def test_fermionic_sigma_matches_dense_traces(self, rng):
+        engine = oracle.DenseFermionicEngine(random_fermionic_model(rng, 3))
+        w = oracle.jordan_wigner_majoranas(3)
+        rho = oracle.random_density(rng, engine.dim)
+        # i Tr([w_j, w_k] rho) = i Tr(w_k (rho w_j - w_j rho))
+        ref = np.array([[(1j * np.trace(wk @ (rho @ wj - wj @ rho))).real for wk in w] for wj in w])
+        assert np.max(np.abs(engine.extract_sigma(rho) - ref)) <= 1e-13
 
 
 def _full_exponential_evolution(engine, rho0, times) -> list[np.ndarray]:
