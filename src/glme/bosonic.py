@@ -33,6 +33,18 @@ from .model import (
 # Slack below the uncertainty bounds (V + i Omega >= 0, det V >= 1) that still
 # counts as physical.
 PHYSICALITY_TOL = 1e-9
+# Largest max|V - VT| accepted of a covariance, relative to max(1, max|V|);
+# what is accepted is stored as its symmetric part.
+SYMMETRY_TOL = 1e-10
+
+
+def _symmetric(m: np.ndarray, name: str) -> np.ndarray:
+    """Symmetric part over the last two axes, after a defect check at SYMMETRY_TOL."""
+    m_t = np.swapaxes(m, -1, -2)
+    defect = max_abs(m - m_t)
+    if defect > SYMMETRY_TOL * max(1.0, max_abs(m)):
+        raise StructuralError(f"{name} must be symmetric (defect {defect:.3e})")
+    return 0.5 * (m + m_t)
 
 
 @dataclass(frozen=True)
@@ -47,11 +59,8 @@ class GaussianState:
         if v.shape[0] % 2 != 0 or v.shape[0] == 0:
             raise StructuralError(f"V must be 2N x 2N, got shape {v.shape}")
         mean = require_vector(self.mean, "mean", length=v.shape[0])
-        defect = max_abs(v - v.T)
-        if defect > 1e-10 * max(1.0, max_abs(v)):
-            raise StructuralError(f"V must be symmetric (defect {defect:.3e})")
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "v", _symmetric(v, "V"))
 
     @classmethod
     def _trusted(cls, mean: np.ndarray, v: np.ndarray) -> "GaussianState":
@@ -98,9 +107,12 @@ class BosonicDriftDiffusion:
 class Trajectory:
     """Moments of either flavor on a time grid, as stacked arrays.
 
-    ``covs`` is (T, 2N, 2N), with the exact symmetry ``lyapunov.propagate``
-    gives it; ``means`` is (T, 2N) for bosons and None for fermions. It reads
-    as a sequence of per-time states, built once on first use.
+    ``covs`` is (T, 2N, 2N); ``means`` is (T, 2N) for bosons and None for
+    fermions. The covariances are checked symmetric at SYMMETRY_TOL for
+    bosons and antisymmetric at ``fermionic.ANTISYMMETRY_TOL`` for fermions,
+    the bounds of the state containers, and stored as that exact part, as
+    ``lyapunov.propagate`` gives them. It reads as a sequence of per-time
+    states, built once on first use.
     """
 
     times: np.ndarray
@@ -114,13 +126,18 @@ class Trajectory:
             raise StructuralError(f"covs must have shape (T, 2N, 2N), got {covs.shape}")
         if covs.shape[0] != times.size:
             raise StructuralError("times and states must have equal length")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "covs", require_finite(covs, "covariance"))
-        if self.means is not None:
+        covs = require_finite(covs, "covariance")
+        if self.means is None:
+            from .fermionic import _antisymmetric  # fermionic imports this module
+            covs = _antisymmetric(covs, "covariance")
+        else:
             means = np.asarray(self.means, dtype=float)
             if means.shape != covs.shape[:2]:
                 raise StructuralError(f"means must have shape {covs.shape[:2]}, got {means.shape}")
             object.__setattr__(self, "means", require_finite(means, "mean"))
+            covs = _symmetric(covs, "covariance")
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "covs", covs)
 
     @cached_property
     def states(self) -> list:

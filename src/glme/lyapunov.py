@@ -81,6 +81,8 @@ def validate_times(times) -> np.ndarray:
     arr = np.asarray(times, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise StructuralError("times must be a non-empty 1-D array")
+    if not np.isfinite(arr).all():
+        raise StructuralError("times must be finite")
     if arr.size > 1 and np.min(np.diff(arr)) <= 0:
         raise StructuralError("times must be strictly increasing")
     return arr

@@ -13,14 +13,21 @@ Hamiltonian with linear channels never changes the parity of m + n in
 |m><n| (the Jordan-Wigner parities for fermions). Evolution touches only
 the invariant sectors the initial state occupies, with
 ``scipy.sparse.linalg.expm_multiply`` at any dimension or, for small
-dimensions, one dense exponential per sector. A sector whose part of the
-state is below the rounding floor dim * eps * ||rho0|| stays exactly zero.
-Moments are read as traces Tr(a rho) = sum_ij a_ij rho_ji over the stored
-entries of a, in O(nnz(a)), with no matrix product formed.
+dimensions, one dense exponential per union of sectors closed under
+|m><n| -> |n><m|. A sector whose part of the state is below the rounding
+floor dim * eps * ||rho0|| stays exactly zero. The engines are built from a
+validated model with its decoherence matrix taken Hermitian, so the
+generator maps Hermitian operators to Hermitian operators and, on an
+orthonormal basis of Hermitian matrices, is a real matrix (Gorini,
+Kossakowski & Sudarshan, J. Math. Phys. 17:821, 1976); the dense
+exponentials are taken there, in real arithmetic. Moments are read as
+traces Tr(a rho) = sum_ij a_ij rho_ji over the stored entries of a, in
+O(nnz(a)), with no matrix product formed.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -29,9 +36,9 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import LinearOperator, expm_multiply
 
 from . import lyapunov
-from ._util import max_abs, require_finite
+from ._util import antisymmetrize, max_abs, require_finite, symmetrize
 from .errors import DomainError, StructuralError, TruncationError
-from .model import BOSONIC, FERMIONIC, GeneralizedLindbladModel
+from .model import BOSONIC, FERMIONIC, GeneralizedLindbladModel, require_valid
 
 _DENSE_CUTOFF = 64          # below this dimension plain ndarrays beat sparse
 _SUPEROP_CUTOFF = 32        # largest dimension for dense superoperator exponentials
@@ -131,23 +138,33 @@ def _lazy_operator(mat: sp.csr_matrix) -> LinearOperator:
                           matmat=mat.dot, rmatmat=adjoint, dtype=mat.dtype)
 
 
-def _sectors(mat: sp.csr_matrix) -> list[np.ndarray]:
+def _sectors(mat: sp.csr_matrix, swap: bool = False) -> list[np.ndarray]:
     """Sorted index arrays of the weakly connected components of the pattern of ``mat``.
 
     The graph is built from ``indptr``/``indices`` with unit weights, so no
     stored entry is lost whatever its value. ``mat`` has no entry between two
-    components, so its exponential is the direct sum of theirs.
+    components, so its exponential is the direct sum of theirs. With
+    ``swap``, ``mat`` acts on row-major vectorized states and every |m><n|
+    is also joined to |n><m|: each component is then a smallest union of
+    sectors closed under that transposition.
     """
     # imported here: loading csgraph costs every `import glme` about 25 ms and 1 MB
     from scipy.sparse.csgraph import connected_components
 
     pattern = sp.csr_matrix((np.ones(mat.indices.size), mat.indices, mat.indptr), shape=mat.shape)
+    if swap:
+        size = mat.shape[0]
+        dim = math.isqrt(size)
+        transposed = np.arange(size).reshape(dim, dim).T.reshape(-1)
+        pattern = pattern + sp.csr_matrix((np.ones(size), transposed, np.arange(size + 1)),
+                                          shape=mat.shape)
     count, labels = connected_components(pattern, directed=True, connection="weak")
     return [np.flatnonzero(labels == c) for c in range(count)]
 
 
-def _occupied_sectors(mat: sp.csr_matrix, vec: np.ndarray, dim: int) -> list[np.ndarray]:
-    """The sectors of ``mat`` (see ``_sectors``) that carry weight of ``vec``.
+def _occupied_sectors(mat: sp.csr_matrix, vec: np.ndarray, dim: int,
+                      swap: bool = False) -> list[np.ndarray]:
+    """The sectors of ``mat`` (see ``_sectors``, which takes ``swap``) that carry weight of ``vec``.
 
     ``vec`` is a vectorized dim x dim state. A sector whose part of it has a
     2-norm of at most dim * eps * ||vec||, below the rounding error of forming
@@ -155,7 +172,31 @@ def _occupied_sectors(mat: sp.csr_matrix, vec: np.ndarray, dim: int) -> list[np.
     that part as exactly zero, and it stays zero.
     """
     floor = dim * np.finfo(float).eps * np.linalg.norm(vec)
-    return [idx for idx in _sectors(mat) if np.linalg.norm(vec[idx]) > floor]
+    return [idx for idx in _sectors(mat, swap) if np.linalg.norm(vec[idx]) > floor]
+
+
+def _hermitian_basis(dim: int) -> sp.csr_matrix:
+    """Unitary U from real coordinates to the row-major vec(rho) of a Hermitian rho.
+
+    Each coordinate sits at the index of one |m><n|: z = rho_mm on the
+    diagonal, x = sqrt(2) Re rho_mn at m < n and y = sqrt(2) Im rho_mn at the
+    transposed index, so U pairs only |m><n| with |n><m|. The columns are
+    an orthonormal basis of Hermitian matrices; U^dag S U is real for every
+    superoperator S that maps Hermitian operators to Hermitian operators,
+    and U^dag vec(rho) has the coordinates of (rho + rho^dag) / 2 as its real
+    part and those of (rho - rho^dag) / 2i as its imaginary part.
+    """
+    size = dim * dim
+    idx = np.arange(size)
+    m, n = np.divmod(idx, dim)
+    pair = m != n
+    partner = (n * dim + m)[pair]
+    s = 1.0 / np.sqrt(2.0)
+    own = np.where(m < n, s, np.where(m > n, -1j * s, 1.0))
+    across = np.where(m < n, s, 1j * s)[pair]
+    return sp.csr_matrix((np.concatenate([own, across]),
+                          (np.concatenate([idx, partner]), np.concatenate([idx, idx[pair]]))),
+                         shape=(size, size))
 
 
 def _trace_product(a, rho: np.ndarray) -> complex:
@@ -164,6 +205,17 @@ def _trace_product(a, rho: np.ndarray) -> complex:
         a = a.tocoo()
         return complex(a.data @ rho[a.col, a.row])
     return complex(np.sum(a * rho.T))
+
+
+def _hermitian_gamma(model: GeneralizedLindbladModel) -> np.ndarray:
+    """The Hermitian part of the decoherence matrix, after ``require_valid(model)``.
+
+    The anti-Hermitian part, within the validation slack, is dropped as
+    ``model.to_standard_form`` drops it; with the Hamiltonian matrix taken
+    (anti)symmetric too, the generator preserves Hermiticity.
+    """
+    require_valid(model)
+    return 0.5 * (model.gamma + model.gamma.conj().T)
 
 
 class _DenseEngine:
@@ -206,13 +258,7 @@ class _DenseEngine:
         same linear map (pinned by a test); the superoperator uses neither.
         """
         if self.mix_channels:
-            defect = max_abs(self.gamma - self.gamma.conj().T)
-            if defect > 1e-12 * max(1.0, max_abs(self.gamma)):
-                raise StructuralError(
-                    "mix_channels requires a Hermitian decoherence matrix "
-                    f"(defect {defect:.3e})"
-                )
-            evals, vecs = np.linalg.eigh(0.5 * (self.gamma + self.gamma.conj().T))
+            evals, vecs = np.linalg.eigh(self.gamma)
             pairs = []
             for rate, vec in zip(evals, vecs.T):
                 if abs(rate) >= 1e-14:
@@ -265,13 +311,18 @@ class _DenseEngine:
         """Propagate the master equation through the grid; first time is rho0.
 
         Both methods evolve only the invariant sectors of the superoperator
-        that rho0 occupies (see ``_occupied_sectors``); a sector where rho0 is
-        below the rounding floor dim * eps * ||rho0|| is zero in every returned
+        that rho0 occupies (see ``_occupied_sectors``): a sector, for "expm" a
+        union of sectors closed under |m><n| -> |n><m|, where rho0 is below
+        the rounding floor dim * eps * ||rho0|| is zero in every returned
         state. "krylov" applies ``expm_multiply`` to the superoperator
         restricted to the occupied sectors, at any dimension. "expm", up to
-        dimension 32, takes the dense exponential of each occupied sector once
-        per distinct step and advances that sector's part of the state with it.
-        Every returned state is its own array; the first is rho0.
+        dimension 32, writes each occupied union on the Hermitian basis of
+        ``_hermitian_basis``, where the generator is a real matrix R (Gorini,
+        Kossakowski & Sudarshan, 1976). It takes one real exponential of R
+        per union and distinct step, and advances the Hermitian and
+        anti-Hermitian parts of rho0 with it as two real coordinate columns,
+        so any complex rho0 is evolved. Every returned state is its own
+        array; the first is rho0.
         """
         times = lyapunov.validate_times(times)
         rho0 = require_finite(np.asarray(rho0, dtype=complex), "rho0")
@@ -290,19 +341,24 @@ class _DenseEngine:
                 f"got {self.dim}"
             )
         sup = self.superoperator()
+        basis = _hermitian_basis(self.dim)
+        basis_h = basis.conj().T
+        unions = _occupied_sectors(sup, rho0.reshape(-1), self.dim, swap=True)
+        real = (basis_h @ sup @ basis).tocsr()
+        # the imaginary part left is the rounding of the assembly
+        blocks = [real[idx][:, idx].toarray().real for idx in unions]
+        coords = basis_h @ rho0.reshape(-1)
+        parts = [np.column_stack([coords[idx].real, coords[idx].imag]) for idx in unions]
         out = [rho0]
-        vec = rho0.reshape(-1)
-        sectors = _occupied_sectors(sup, vec, self.dim)
-        blocks = [sup[idx][:, idx].toarray() for idx in sectors]
         flows = {}
         for dt in lyapunov.grid_steps(times).tolist():
             if dt not in flows:
                 flows[dt] = [expm(block * dt) for block in blocks]
-            step = np.zeros_like(vec)
-            for idx, flow in zip(sectors, flows[dt]):
-                step[idx] = flow @ vec[idx]
-            vec = step
-            out.append(vec.reshape(self.dim, self.dim))
+            parts = [flow @ part for flow, part in zip(flows[dt], parts)]
+            coords = np.zeros_like(coords)
+            for idx, part in zip(unions, parts):
+                coords[idx] = part[:, 0] + 1j * part[:, 1]
+            out.append((basis @ coords).reshape(self.dim, self.dim))
         return out
 
     def _evolve_krylov(self, rho0, times) -> list[np.ndarray]:
@@ -349,6 +405,7 @@ class DenseBosonicEngine(_DenseEngine):
             raise StructuralError(f"expected a bosonic model, got {model.flavor!r}")
         if fock_dim < 2:
             raise StructuralError("fock_dim must be at least 2")
+        self.gamma = _hermitian_gamma(model)
         n = model.n_modes
         dim = fock_dim ** n
         if dim > _MAX_DENSE_DIM:
@@ -380,9 +437,9 @@ class DenseBosonicEngine(_DenseEngine):
         f_q, f_p = model.f[:, 0::2], model.f[:, 1::2]
         self.basis_rows = np.hstack([sqrt_half * (f_q - 1j * f_p), sqrt_half * (f_q + 1j * f_p)])
 
-        self.hamiltonian_op = _quadratic(0.5 * model.hamiltonian, self.x_ops, self.x_ops, self._zero)
+        self.hamiltonian_op = _quadratic(0.5 * symmetrize(model.hamiltonian),
+                                         self.x_ops, self.x_ops, self._zero)
         self.f_ops = [_combine(row, self.x_ops, self._zero) for row in model.f]
-        self.gamma = model.gamma
         self._finalize()
 
     def vacuum(self) -> np.ndarray:
@@ -462,6 +519,7 @@ class DenseFermionicEngine(_DenseEngine):
         n = model.n_modes
         if n > 5:
             raise StructuralError("dense fermionic engine is limited to 5 modes")
+        self.gamma = _hermitian_gamma(model)
         self.model = model
         self.n_modes = n
         self.dim = 2 ** n
@@ -469,11 +527,11 @@ class DenseFermionicEngine(_DenseEngine):
         self._self_test()
 
         self._zero = np.zeros((self.dim, self.dim), dtype=complex)
-        self.hamiltonian_op = _quadratic(0.5j * model.hamiltonian, self.w_ops, self.w_ops, self._zero)
+        self.hamiltonian_op = _quadratic(0.5j * antisymmetrize(model.hamiltonian),
+                                         self.w_ops, self.w_ops, self._zero)
         self.f_ops = [_combine(row, self.w_ops, self._zero) for row in model.f]
         self.basis_ops = self.w_ops
         self.basis_rows = model.f
-        self.gamma = model.gamma
         self._finalize()
 
     def _self_test(self):

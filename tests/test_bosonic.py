@@ -201,6 +201,13 @@ class TestPropagateCovariance:
         with pytest.raises(StructuralError):
             bosonic.propagate_covariance(dd, np.eye(2), [0.0, 1.0, 0.5])
 
+    @pytest.mark.parametrize("times", [[np.inf], [0.0, np.nan], [-np.inf, 0.0], [0.0, 1.0, np.inf]])
+    def test_non_finite_times_rejected(self, times):
+        # [inf] alone used to pass, and the JSON writer then wrote "times": [inf]
+        dd = bosonic.build_drift_diffusion(damped_oscillator_model())
+        with pytest.raises(StructuralError, match="times must be finite"):
+            bosonic.propagate_covariance(dd, np.eye(2), times)
+
     @pytest.mark.parametrize("eps", [1e-6, 1e-8])
     def test_near_dark_pair_matches_rk4(self, eps):
         dd = bosonic.build_drift_diffusion(near_dark_pair_model(eps))
@@ -286,6 +293,24 @@ class TestTrajectory:
     def test_malformed_arrays_rejected(self, times, covs, means):
         with pytest.raises(StructuralError):
             bosonic.Trajectory(times, covs, means)
+
+    # Each way in to a bosonic covariance, returning what it stores.
+    symmetric_inputs = {
+        "state": lambda v: bosonic.GaussianState(np.zeros(2), v).v,
+        "trajectory": lambda v: bosonic.Trajectory([0.0, 1.0], np.stack([v, v]),
+                                                   np.zeros((2, 2))).covs[1],
+    }
+
+    @pytest.mark.parametrize("store", list(symmetric_inputs))
+    def test_one_symmetry_bound_and_exact_storage(self, store):
+        store = self.symmetric_inputs[store]
+        v = np.array([[1.0, 0.3], [0.3, 2.0]])
+        stored = store(v + np.array([[0.0, 2e-11], [0.0, 0.0]]))
+        assert np.array_equal(stored, stored.T)
+        # the symmetric part moves each off-diagonal entry by half the defect
+        assert np.max(np.abs(stored - v - 1e-11 * (1.0 - np.eye(2)))) <= 1e-16
+        with pytest.raises(StructuralError, match="symmetric"):
+            store(v + np.array([[0.0, 1e-6], [0.0, 0.0]]))
 
 
 class TestHurwitz:

@@ -132,6 +132,22 @@ class TestEvolve:
         lines = open(out).read().strip().split("\n")
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("text", ["inf\n", "0.0\nnan\n", "0.0\n1.0\ninf\n"])
+    def test_non_finite_times_file_rejected(self, runner, damped_file, tmp_path, text, fmt):
+        times_path = tmp_path / "times.txt"
+        times_path.write_text(text)
+        out = tmp_path / f"traj.{fmt}"
+        result = runner.invoke(main, [
+            "evolve", "--model", damped_file, "--times", str(times_path), "--output", str(out),
+            "--format", fmt,
+        ])
+        assert result.exit_code == 1
+        error = json.loads(result.stderr)
+        assert error["code"] == "structure"
+        assert "times must be finite" in error["detail"]
+        assert not out.exists()
+
     def test_json_format(self, runner, damped_file, tmp_path):
         out = str(tmp_path / "traj.json")
         result = runner.invoke(main, [

@@ -277,6 +277,7 @@ class TestStructure:
         "drift_diffusion": lambda m: fermionic.FermionicDriftDiffusion(x=np.eye(2), y=m).y,
         "gibbs_kernel": lambda m: fermionic.GibbsKernel(m).k,
         "free_check": lambda m: fermionic._antisymmetric(m, "m"),
+        "trajectory": lambda m: bosonic.Trajectory([0.0, 1.0], np.stack([m, m])).covs[1],
     }
 
     @pytest.mark.parametrize("store", list(antisymmetric_inputs))

@@ -63,7 +63,10 @@ class TestColdStart:
 
     def test_oracle_attribute_loads_scipy_sparse(self):
         code = "import json, sys\nimport glme\nglme.oracle\n" + _REPORT
-        assert "scipy.sparse" in _fresh(code)
+        loaded = _fresh(code)
+        assert "scipy.sparse" in loaded
+        # the sector and union grouping imports scipy.sparse.csgraph at its first call
+        assert [m for m in loaded if m.startswith("scipy.sparse.csgraph")] == []
 
     def test_validate_loads_no_scipy(self, model_file):
         assert _fresh(_CLI_PROBE, "validate", model_file) == []

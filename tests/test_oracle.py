@@ -6,7 +6,7 @@ from scipy.sparse.linalg import expm_multiply
 
 import glme
 from glme import bosonic, fermionic, model, oracle
-from glme.errors import DomainError, StructuralError, TruncationError
+from glme.errors import DomainError, PositivityError, StructuralError, TruncationError
 
 from conftest import (
     damped_oscillator_model,
@@ -63,6 +63,13 @@ class TestDenseBosonicEngine:
         rho0[1, 1] = np.nan
         with pytest.raises(StructuralError, match="non-finite"):
             engine.evolve(rho0, [0.0, 1.0], method=method)
+
+    @pytest.mark.parametrize("method", ["expm", "krylov"])
+    @pytest.mark.parametrize("times", [[0.0, np.inf], [0.0, np.nan], [-np.inf, 0.0]])
+    def test_evolve_rejects_non_finite_times(self, method, times):
+        engine = oracle.DenseBosonicEngine(damped_oscillator_model(), fock_dim=6)
+        with pytest.raises(StructuralError, match="times must be finite"):
+            engine.evolve(engine.vacuum(), times, method=method)
 
     def test_truncation_diagnostic(self):
         m = damped_oscillator_model()
@@ -200,10 +207,13 @@ def _zero_row_gamma(rng) -> np.ndarray:
     return gamma
 
 
-def _off_diagonal_gamma(rng) -> np.ndarray:
-    """Three channels coupled only across: a zero diagonal, every row nonzero."""
+def _cross_coupled_gamma(rng) -> np.ndarray:
+    """Three channels in a chain of cross couplings, with each diagonal entry the sum of
+    the magnitudes in its row: diagonally dominant, so positive semidefinite as the
+    engines require."""
     c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    return np.array([[0.0, c[0], 0.0], [np.conj(c[0]), 0.0, c[1]], [0.0, np.conj(c[1]), 0.0]])
+    off = np.array([[0.0, c[0], 0.0], [np.conj(c[0]), 0.0, c[1]], [0.0, np.conj(c[1]), 0.0]])
+    return off + np.diag(np.abs(off).sum(axis=1))
 
 
 class TestGroupedSandwiches:
@@ -224,8 +234,8 @@ class TestGroupedSandwiches:
         return model.GeneralizedLindbladModel(base.flavor, base.n_modes, base.hamiltonian,
                                               base.f, gamma)
 
-    @pytest.mark.parametrize("gamma_of", [_zero_row_gamma, _off_diagonal_gamma],
-                             ids=["zero_row", "off_diagonal"])
+    @pytest.mark.parametrize("gamma_of", [_zero_row_gamma, _cross_coupled_gamma],
+                             ids=["zero_row", "cross_coupled"])
     @pytest.mark.parametrize("kind", list(engines))
     def test_generator_and_adjoint_match_superoperator(self, rng, kind, gamma_of):
         gamma = gamma_of(rng)
@@ -291,27 +301,43 @@ def _squeezing_only_model():
                                           gamma=np.zeros((1, 1), dtype=complex))
 
 
-def _counting_expm(monkeypatch) -> list[tuple[int, int]]:
+def _counting_expm(monkeypatch) -> list[tuple[tuple[int, int], np.dtype]]:
     shapes = []
-    monkeypatch.setattr(oracle, "expm", lambda m: shapes.append(m.shape) or expm(m))
+    monkeypatch.setattr(oracle, "expm", lambda m: shapes.append((m.shape, m.dtype)) or expm(m))
     return shapes
+
+
+_REAL_450 = ((450, 450), np.dtype(np.float64))
+
+
+def _off_diagonal_plus_density(rng, dim) -> np.ndarray:
+    """|0><1| plus a random density matrix: neither Hermitian nor anti-Hermitian."""
+    rho = oracle.random_density(rng, dim)
+    rho[0, 1] += 1.0
+    return rho
 
 
 class TestSectorExponential:
     times = np.array([0.0, 0.3, 1.0, 1.2, 2.0])
 
-    @pytest.mark.parametrize("build,sectors", [
-        # generic quadratic H with squeezing terms: the parity of m + n
-        (lambda rng: oracle.DenseBosonicEngine(random_bosonic_model(rng, 1), fock_dim=12), 2),
-        # the dark mode keeps its ket and bra occupations: 4 x 2 parity sectors
-        (lambda rng: oracle.DenseFermionicEngine(_dark_third_mode_model(rng)), 8),
-        # purely imaginary couplings still join states: the parities of m and of n
-        (lambda rng: oracle.DenseBosonicEngine(_squeezing_only_model(), fock_dim=12), 4),
+    @pytest.mark.parametrize("rho0_of", [lambda rng, d: oracle.random_density(rng, d),
+                                         _off_diagonal_plus_density],
+                             ids=["hermitian", "non_hermitian"])
+    @pytest.mark.parametrize("build,sectors,unions", [
+        # generic quadratic H with squeezing terms: the parity of m + n, closed under transposition
+        (lambda rng: oracle.DenseBosonicEngine(random_bosonic_model(rng, 1), fock_dim=12), 2, 2),
+        # the dark mode keeps its ket and bra occupations: 4 x 2 parity sectors, and the
+        # transposition joins ket 0, bra 1 with ket 1, bra 0
+        (lambda rng: oracle.DenseFermionicEngine(_dark_third_mode_model(rng)), 8, 6),
+        # purely imaginary couplings still join states: the parities of m and of n, and the
+        # transposition joins (even, odd) with (odd, even)
+        (lambda rng: oracle.DenseBosonicEngine(_squeezing_only_model(), fock_dim=12), 4, 3),
     ])
-    def test_matches_full_exponential(self, rng, build, sectors):
+    def test_matches_full_exponential(self, rng, build, sectors, unions, rho0_of):
         engine = build(rng)
         assert len(oracle._sectors(engine.superoperator())) == sectors
-        rho0 = oracle.random_density(rng, engine.dim)
+        assert len(oracle._sectors(engine.superoperator(), swap=True)) == unions
+        rho0 = rho0_of(rng, engine.dim)
         got = engine.evolve(rho0, self.times, method="expm")
         ref = _full_exponential_evolution(engine, rho0, self.times)
         for a, b in zip(got, ref, strict=True):
@@ -333,18 +359,18 @@ class TestSectorExponential:
         engine = oracle.DenseBosonicEngine(random_bosonic_model(rng, 1), fock_dim=30)
         shapes = _counting_expm(monkeypatch)
         engine.evolve(oracle.random_density(rng, engine.dim), times, method="expm")
-        assert shapes == [(450, 450)] * (2 * steps)
+        assert shapes == [_REAL_450] * (2 * steps)
 
     def test_sector_without_weight_is_skipped(self, rng, monkeypatch):
         # a diagonal state has no weight where m + n is odd
         engine = oracle.DenseBosonicEngine(random_bosonic_model(rng, 1), fock_dim=30)
         shapes = _counting_expm(monkeypatch)
         rhos = engine.evolve(oracle.fock_thermal(0.2, 30), np.linspace(0.0, 1.0, 4), method="expm")
-        assert shapes == [(450, 450)]
+        assert shapes == [_REAL_450]
         odd = np.add.outer(np.arange(30), np.arange(30)) % 2 == 1
         assert all(np.all(rho[odd] == 0) for rho in rhos)
 
-    @pytest.mark.parametrize("noise,shapes", [(1e-17, [(450, 450)]), (1e-12, [(450, 450)] * 2)])
+    @pytest.mark.parametrize("noise,shapes", [(1e-17, [_REAL_450]), (1e-12, [_REAL_450] * 2)])
     def test_sector_below_rounding_floor_is_skipped(self, rng, monkeypatch, noise, shapes):
         # rounding-sized weight where m + n is odd does not count; weight above it does
         engine = oracle.DenseBosonicEngine(random_bosonic_model(rng, 1), fock_dim=30)
@@ -408,6 +434,64 @@ class TestSectorExponential:
                             lambda *a, **k: counted.append(k["num"]) or expm_multiply(*a, **k))
         engine.evolve(engine.vacuum(), times, method="krylov")
         assert len(counted) == calls
+
+
+_ENGINES = {
+    "bosonic": lambda m: oracle.DenseBosonicEngine(m, fock_dim=6),
+    "fermionic": oracle.DenseFermionicEngine,
+}
+
+
+def _random_model(rng, flavor):
+    if flavor == "bosonic":
+        return random_bosonic_model(rng, 1, 3)
+    return random_fermionic_model(rng, 2, 3)
+
+
+class TestEngineValidation:
+    """The engines build from validated models, with the Hermitian part of Gamma."""
+
+    @staticmethod
+    def _with_gamma(m, gamma):
+        return model.GeneralizedLindbladModel(m.flavor, m.n_modes, m.hamiltonian, m.f, gamma)
+
+    @pytest.mark.parametrize("defect", ["non_hermitian", "negative_eigenvalue"])
+    @pytest.mark.parametrize("flavor", list(_ENGINES))
+    def test_gamma_beyond_validation_slack_raises(self, rng, flavor, defect):
+        m = _random_model(rng, flavor)
+        gamma = m.gamma.copy()
+        if defect == "non_hermitian":
+            gamma[0, 2] += 1e-6
+            match = "not Hermitian"
+        else:
+            gamma -= (np.linalg.eigvalsh(gamma).min() + 1e-6) * np.eye(3)
+            match = "negative eigenvalue"
+        with pytest.raises(PositivityError, match=match):
+            _ENGINES[flavor](self._with_gamma(m, gamma))
+
+    @pytest.mark.parametrize("flavor", list(_ENGINES))
+    def test_gamma_inside_slack_is_taken_hermitian(self, rng, flavor):
+        m = _random_model(rng, flavor)
+        gamma = m.gamma.copy()
+        gamma[0, 2] += 1e-12
+        engine = _ENGINES[flavor](self._with_gamma(m, gamma))
+        assert np.array_equal(engine.gamma, engine.gamma.conj().T)
+        assert np.max(np.abs(engine.gamma - gamma)) <= 1e-12
+
+    @pytest.mark.parametrize("flavor", list(_ENGINES))
+    def test_generator_is_real_on_the_hermitian_basis(self, rng, flavor):
+        engine = _ENGINES[flavor](_random_model(rng, flavor))
+        basis = oracle._hermitian_basis(engine.dim)
+        d2 = engine.dim ** 2
+        assert np.max(np.abs((basis.conj().T @ basis).toarray() - np.eye(d2))) <= 1e-15
+        real = (basis.conj().T @ engine.superoperator() @ basis).toarray()
+        assert np.max(np.abs(real.imag)) <= 1e-13 * np.max(np.abs(real))
+        # a Hermitian matrix has real coordinates; i times one has imaginary ones
+        rho = oracle.random_density(rng, engine.dim)
+        rho = 0.5 * (rho + rho.conj().T)
+        coords = basis.conj().T @ rho.reshape(-1)
+        assert np.all(coords.imag == 0)
+        assert np.all((basis.conj().T @ (1j * rho).reshape(-1)).real == 0)
 
 
 class TestDenseFermionicEngine:
