@@ -110,9 +110,14 @@ class Trajectory:
     ``covs`` is (T, 2N, 2N); ``means`` is (T, 2N) for bosons and None for
     fermions. The covariances are checked symmetric at SYMMETRY_TOL for
     bosons and antisymmetric at ``fermionic.ANTISYMMETRY_TOL`` for fermions,
-    the bounds of the state containers, and stored as that exact part, as
-    ``lyapunov.propagate`` gives them. It reads as a sequence of per-time
-    states, built once on first use.
+    the bounds of the state containers, and stored read-only as that exact
+    part, which the trajectory writers rely on. It reads as a sequence of
+    per-time states, built once on first use.
+
+    Both flavors' ``propagate_covariance`` wrap their output with
+    ``_trusted``, which checks shapes and finiteness only: ``lyapunov.propagate``
+    has validated the times and passed every state through the exact
+    (anti)symmetrization, so the checks would store the same bits.
     """
 
     times: np.ndarray
@@ -120,24 +125,39 @@ class Trajectory:
     means: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        times = lyapunov.validate_times(self.times)
-        covs = np.asarray(self.covs, dtype=float)
+        means = None if self.means is None else np.asarray(self.means, dtype=float)
+        self._store(lyapunov.validate_times(self.times), np.asarray(self.covs, dtype=float),
+                    means, exact=False)
+
+    @classmethod
+    def _trusted(cls, times: np.ndarray, covs: np.ndarray,
+                 means: np.ndarray | None = None) -> "Trajectory":
+        """Wrap validated float ``times`` and exactly (anti)symmetric float stacks it then owns."""
+        traj = object.__new__(cls)
+        traj._store(times, covs, means, exact=True)
+        return traj
+
+    def _store(self, times, covs, means, exact: bool):
+        """Check shapes and finiteness, then store; the (anti)symmetric part unless ``exact``."""
         if covs.ndim != 3 or covs.shape[1] != covs.shape[2] or covs.shape[1] % 2 or not covs.shape[1]:
             raise StructuralError(f"covs must have shape (T, 2N, 2N), got {covs.shape}")
         if covs.shape[0] != times.size:
             raise StructuralError("times and states must have equal length")
+        if means is not None and means.shape != covs.shape[:2]:
+            raise StructuralError(f"means must have shape {covs.shape[:2]}, got {means.shape}")
         covs = require_finite(covs, "covariance")
-        if self.means is None:
-            from .fermionic import _antisymmetric  # fermionic imports this module
-            covs = _antisymmetric(covs, "covariance")
-        else:
-            means = np.asarray(self.means, dtype=float)
-            if means.shape != covs.shape[:2]:
-                raise StructuralError(f"means must have shape {covs.shape[:2]}, got {means.shape}")
-            object.__setattr__(self, "means", require_finite(means, "mean"))
-            covs = _symmetric(covs, "covariance")
+        if means is not None:
+            means = require_finite(means, "mean")
+        if not exact:
+            if means is None:
+                from .fermionic import _antisymmetric  # fermionic imports this module
+                covs = _antisymmetric(covs, "covariance")
+            else:
+                covs = _symmetric(covs, "covariance")
+        covs.flags.writeable = False  # owned: the (anti)symmetric part, or handed over to _trusted
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "covs", covs)
+        object.__setattr__(self, "means", means)
 
     @cached_property
     def states(self) -> list:
@@ -192,7 +212,8 @@ def propagate_covariance(dd: BosonicDriftDiffusion, v0, times,
                                    rk4_substeps=rk4_substeps, y0=mean0)
     if means is None:
         means = np.zeros(vs.shape[:2])
-    return Trajectory(times, vs, means)
+    # propagate validated the times
+    return Trajectory._trusted(np.asarray(times, dtype=float), vs, means)
 
 
 def is_hurwitz(dd: BosonicDriftDiffusion) -> tuple[bool, float]:
@@ -219,7 +240,7 @@ def check_physicality(v) -> tuple[bool, float]:
     if v.shape[-1] % 2 != 0:
         raise StructuralError("V must be 2N x 2N")
     omega = symplectic_form(v.shape[-1] // 2)
-    min_eig = float(np.min(np.linalg.eigvalsh(v + 1j * omega)))
+    min_eig = float(np.linalg.eigvalsh(v + 1j * omega).min())
     return min_eig >= -PHYSICALITY_TOL, min_eig
 
 

@@ -113,7 +113,8 @@ def propagate_covariance(dd: FermionicDriftDiffusion, sigma0, times,
     sigma0 = require_square(sigma0, "sigma0", dtype=float)
     sigmas, _ = lyapunov.propagate(dd.x, dd.y, sigma0, times, antisymmetrize,
                                    method=method, rk4_substeps=rk4_substeps)
-    return Trajectory(times, sigmas)
+    # propagate validated the times
+    return Trajectory._trusted(np.asarray(times, dtype=float), sigmas)
 
 
 def is_hurwitz(dd: FermionicDriftDiffusion) -> tuple[bool, float]:

@@ -5,12 +5,25 @@ trajectories are CSV or JSON. All floats are rendered with 17 significant
 digits and a lowercase exponent so identical inputs produce byte-identical
 output.
 
-A float rendered on its own goes through ``format_float``. A float array
-(a JSON value, or the stacked rows of a CSV trajectory) is rendered with one
-``%`` operation: a template repeating ``"%.17g"`` in the array's layout is
-applied to all its numbers at once. ``"%.17g" % x`` and
-``format(x, ".17g")`` give the same text for every double, including
-``-0``, subnormals, ``inf`` and ``nan``, so both paths write the same bytes.
+A float rendered on its own goes through ``format_float``. A float array in
+a JSON payload is rendered with one ``%`` operation: a template repeating
+``"%.17g"`` in the array's layout is applied to all its numbers at once.
+``"%.17g" % x`` and ``format(x, ".17g")`` give the same text for every
+double, including ``-0``, subnormals, ``inf`` and ``nan``, so both paths
+write the same bytes.
+
+The trajectory writers call ``%`` once per state (a CSV row), on each
+distinct number once, taking the states in bounded slabs. Formatting is
+nearly all their cost. A stored covariance is exactly symmetric (bosons) or
+antisymmetric (fermions), since ``Trajectory`` and the state containers keep
+only that exact part, so the writers format its upper triangle and copy the
+texts to the mirrored positions. A bosonic mirror entry is the same double,
+with the same text. A fermionic one is the exact negation, whose text is the
+upper text with its sign toggled, except at zeros: the antisymmetric part of
+equal entries is +0 on both sides, so a zero's mirror text is read from its
+own sign bit. The texts fill a fixed ``%s`` template of the state's JSON
+object, or join into its CSV line, giving the bytes of the per-number
+rendering.
 """
 
 from __future__ import annotations
@@ -18,6 +31,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from operator import itemgetter
 
 import numpy as np
 
@@ -72,19 +86,38 @@ def _render(obj, out: list[str]):
         raise StructuralError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def _template(shape: tuple[int, ...]) -> str:
-    """``%`` template rendering a float array of ``shape`` as nested JSON lists."""
+def _template(shape: tuple[int, ...], spec: str = "%.17g") -> str:
+    """``%`` template rendering an array of ``shape`` as nested JSON lists, ``spec`` per entry."""
     if not shape:
-        return "%.17g"
-    return "[" + ", ".join([_template(shape[1:])] * shape[0]) + "]"
+        return spec
+    return "[" + ", ".join([_template(shape[1:], spec)] * shape[0]) + "]"
 
 
-def _csv(header: list[str], rows: np.ndarray) -> str:
-    """Header line plus one line per row of a 2-D float array."""
-    row_template = ",".join(["%.17g"] * rows.shape[1])
-    lines = [",".join(header)]
-    lines += [row_template % tuple(row) for row in rows.tolist()]
-    return "\n".join(lines) + "\n"
+# Numbers per slab that the trajectory writers turn into Python floats at once.
+_SLAB = 1 << 16
+
+
+def _csv_rows(values: np.ndarray):
+    """Each row of a 2-D float array as ``%.17g`` texts joined by commas, one ``%`` per row."""
+    template = ",".join(["%.17g"] * values.shape[1])
+    step = max(1, _SLAB // values.shape[1])
+    for start in range(0, len(values), step):
+        for row in values[start:start + step].tolist():
+            yield template % tuple(row)
+
+
+def _mirror(n: int, upper: tuple[np.ndarray, np.ndarray], offset: int, shift: int = 0,
+            fill: int = 0) -> list[int]:
+    """For each row-major entry of an n x n matrix, its index into a state's texts.
+
+    The ``upper`` entries' texts start at ``offset``; each mirrored entry's
+    text sits ``shift`` after its upper entry's, and entries in neither
+    triangle (the fermionic diagonal) take index ``fill``.
+    """
+    index = np.full((n, n), fill)
+    index[upper] = offset + np.arange(upper[0].size)
+    index[upper[::-1]] = index[upper] + shift
+    return index.ravel().tolist()
 
 
 def atomic_write(path: str, text: str):
@@ -217,18 +250,26 @@ def bosonic_trajectory_csv(trajectory: Trajectory) -> str:
     header = ["t"]
     header += [f"mean_{j + 1}" for j in range(n2)]
     header += [f"V_{j + 1}{k + 1}" for j in range(n2) for k in range(n2)]
-    rows = np.empty((n_times, 1 + n2 + n2 * n2))
-    rows[:, 0] = trajectory.times
-    rows[:, 1:1 + n2] = trajectory.means
-    rows[:, 1 + n2:] = trajectory.covs.reshape(n_times, -1)
-    return _csv(header, rows)
+    upper = np.triu_indices(n2)
+    values = np.empty((n_times, 1 + n2 + upper[0].size))
+    values[:, 0] = trajectory.times
+    values[:, 1:1 + n2] = trajectory.means
+    values[:, 1 + n2:] = trajectory.covs[:, upper[0], upper[1]]
+    pick = itemgetter(*range(1 + n2), *_mirror(n2, upper, 1 + n2))
+    lines = [",".join(header)]
+    lines += [",".join(pick(row.split(","))) for row in _csv_rows(values)]
+    return "\n".join(lines) + "\n"
 
 
 def _sigmas(times, states) -> np.ndarray:
     """Stacked covariances of a fermionic ``Trajectory`` or list of states."""
     if len(times) != len(states):
         raise StructuralError("times and states must have equal length")
-    return states.covs if isinstance(states, Trajectory) else np.array([s.sigma for s in states])
+    if not isinstance(states, Trajectory):
+        return np.array([s.sigma for s in states])
+    if states.means is not None:
+        raise StructuralError("fermionic trajectory writers need no means; this trajectory is bosonic")
+    return states.covs
 
 
 def fermionic_trajectory_csv(times, states) -> str:
@@ -239,26 +280,52 @@ def fermionic_trajectory_csv(times, states) -> str:
     rows = np.empty((len(sigmas), 1 + upper[0].size))
     rows[:, 0] = times
     rows[:, 1:] = sigmas[:, upper[0], upper[1]]
-    return _csv(header, rows)
+    return "\n".join([",".join(header), *_csv_rows(rows)]) + "\n"
+
+
+def _trajectory_json(kind: str, times: np.ndarray, states: list[str]) -> str:
+    """The text of ``dumps({"kind": kind, "times": times, "states": [...]})``, states pre-rendered."""
+    return "".join(['{"kind": ', json.dumps(kind), ', "times": ', dumps(times),
+                    ', "states": [', ", ".join(states), "]}\n"])
 
 
 def bosonic_trajectory_json(trajectory: Trajectory) -> str:
     _require_means(trajectory)
-    payload = {
-        "kind": BOSONIC,
-        "times": trajectory.times,
-        "states": [{"mean": m, "V": v} for m, v in zip(trajectory.means, trajectory.covs)],
-    }
-    return dumps(payload) + "\n"
+    n2 = trajectory.means.shape[1]
+    upper = np.triu_indices(n2)
+    values = np.concatenate([trajectory.means, trajectory.covs[:, upper[0], upper[1]]], axis=1)
+    pick = itemgetter(*range(n2), *_mirror(n2, upper, n2))
+    template = '{"mean": ' + _template((n2,), "%s") + ', "V": ' + _template((n2, n2), "%s") + "}"
+    states = [template % pick(row.split(",")) for row in _csv_rows(values)]
+    return _trajectory_json(BOSONIC, trajectory.times, states)
 
 
 def fermionic_trajectory_json(times, states) -> str:
-    payload = {
-        "kind": FERMIONIC,
-        "times": np.asarray(times),
-        "states": [{"sigma": sigma} for sigma in _sigmas(times, states)],
-    }
-    return dumps(payload) + "\n"
+    sigmas = _sigmas(times, states)
+    times = np.asarray(times)
+    if not len(sigmas):
+        return _trajectory_json(FERMIONIC, times, [])
+    n = sigmas.shape[1]
+    upper = np.triu_indices(n, 1)
+    values = sigmas[:, upper[0], upper[1]]
+    # the mirror text of a zero is read from the mirror's sign bit, not toggled
+    rows, cols = np.nonzero(values == 0)
+    negative = np.signbit(sigmas[rows, upper[1][cols], upper[0][cols]])
+    zeros: dict[int, list[tuple[int, str]]] = {}
+    for i, k, neg in zip(rows.tolist(), cols.tolist(), negative.tolist()):
+        zeros.setdefault(i, []).append((k, "-0" if neg else "0"))
+    # a state's texts: the upper triangle, its mirror, then "0" for the diagonal (x - x is +0)
+    m = upper[0].size
+    pick = itemgetter(*_mirror(n, upper, 0, shift=m, fill=2 * m))
+    template = '{"sigma": ' + _template((n, n), "%s") + "}"
+    rendered = []
+    for i, row in enumerate(_csv_rows(values)):
+        texts = row.split(",")
+        mirror = [t[1:] if t[0] == "-" else "-" + t for t in texts]
+        for k, text in zeros.get(i, ()):
+            mirror[k] = text
+        rendered.append(template % pick(texts + mirror + ["0"]))
+    return _trajectory_json(FERMIONIC, times, rendered)
 
 
 def load_coupling_table(path: str) -> CouplingTable:

@@ -27,18 +27,27 @@ FLAVORS = (BOSONIC, FERMIONIC)
 VALIDATION_TOL = 1e-10
 
 
+# symplectic_form's arrays, built on first request for each mode count.
+_SYMPLECTIC_FORMS: dict[int, np.ndarray] = {}
+
+
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Block-diagonal symplectic form in the interleaved (q1, p1, ...) ordering.
 
     Each mode contributes a [[0, 1], [-1, 0]] block, so the output is
-    antisymmetric and squares to minus the identity.
+    antisymmetric and squares to minus the identity. One read-only array is
+    kept per mode count and returned on every call.
     """
-    if n_modes < 1:
-        raise StructuralError("n_modes must be at least 1")
-    omega = np.zeros((2 * n_modes, 2 * n_modes))
-    for j in range(n_modes):
-        omega[2 * j, 2 * j + 1] = 1.0
-        omega[2 * j + 1, 2 * j] = -1.0
+    omega = _SYMPLECTIC_FORMS.get(n_modes)
+    if omega is None:
+        if n_modes < 1:
+            raise StructuralError("n_modes must be at least 1")
+        omega = np.zeros((2 * n_modes, 2 * n_modes))
+        for j in range(n_modes):
+            omega[2 * j, 2 * j + 1] = 1.0
+            omega[2 * j + 1, 2 * j] = -1.0
+        omega.flags.writeable = False
+        _SYMPLECTIC_FORMS[n_modes] = omega
     return omega
 
 

@@ -278,6 +278,35 @@ class TestTrajectory:
             np.testing.assert_array_equal(state.v, traj.covs[i])
             np.testing.assert_array_equal(state.mean, traj.means[i])
 
+    @pytest.mark.parametrize("method, mean0", [("exact", None), ("exact", "random"), ("rk4", "random")])
+    def test_propagated_trajectory_equals_checked_construction(self, rng, method, mean0):
+        # propagate_covariance wraps its stacks unchecked; the checks would store the same bits
+        _, dd = random_stable_bosonic(rng, 3)
+        mean0 = rng.standard_normal(6) if mean0 else None
+        times = [0.0, 0.05, 0.5, 2.0, 2.1]
+        traj = bosonic.propagate_covariance(dd, random_physical_v(rng, 3), times,
+                                            method=method, mean0=mean0)
+        checked = bosonic.Trajectory(times, traj.covs, traj.means)
+        for name in ("times", "covs", "means"):
+            got, expected = getattr(traj, name), getattr(checked, name)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("build", ["checked", "propagated"])
+    def test_covariances_read_only(self, build):
+        # the writers copy upper-triangle texts to the mirror, so the stored part stays exact
+        v = np.array([[1.0, 0.3], [0.3, 2.0]])
+        if build == "checked":
+            traj = bosonic.Trajectory([0.0], v[None], np.zeros((1, 2)))
+        else:
+            traj = bosonic.propagate_covariance(bosonic.build_drift_diffusion(damped_oscillator_model()),
+                                                v, [0.0, 1.0])
+        with pytest.raises(ValueError):
+            traj.covs[0, 1, 0] = 0.5
+        with pytest.raises(ValueError):
+            traj[0].v[1, 0] = 0.5
+        assert v.flags.writeable
+
     def test_zero_means_without_mean0(self):
         dd = bosonic.build_drift_diffusion(damped_oscillator_model())
         traj = bosonic.propagate_covariance(dd, np.eye(2), [0.0, 1.0])
@@ -417,6 +446,14 @@ class TestPhysicalityAndPurity:
         assert min_eig == min(bosonic.check_physicality(v)[1] for v in traj.covs)
         assert ok
         assert not bosonic.check_physicality(np.stack([np.eye(2), 0.5 * np.eye(2)]))[0]
+
+    def test_margin_is_smallest_eigenvalue_with_loop_built_omega(self, rng):
+        v = random_physical_v(rng, 3)
+        omega = np.zeros((6, 6))
+        for j in range(3):
+            omega[2 * j, 2 * j + 1], omega[2 * j + 1, 2 * j] = 1.0, -1.0
+        expected = float(np.min(np.linalg.eigvalsh(v + 1j * omega)))
+        assert bosonic.check_physicality(v)[1] == expected
 
     def test_thermal_physical(self):
         ok, min_eig = bosonic.check_physicality(2.0 * np.eye(2))

@@ -123,6 +123,19 @@ class TestPropagation:
                 ok, max_lam = fermionic.check_physicality(state.sigma)
                 assert max_lam <= 1.0 + 1e-8
 
+    @pytest.mark.parametrize("method", ["exact", "rk4"])
+    def test_propagated_trajectory_equals_checked_construction(self, rng, method):
+        # propagate_covariance wraps its stack unchecked; the checks would store the same bits
+        _, dd = random_stable_fermionic(rng, 3)
+        times = [0.0, 0.05, 0.5, 2.0, 2.1]
+        traj = fermionic.propagate_covariance(dd, random_physical_sigma(rng, 3), times, method=method)
+        checked = bosonic.Trajectory(times, traj.covs)
+        assert traj.means is None and checked.means is None
+        for name in ("times", "covs"):
+            got, expected = getattr(traj, name), getattr(checked, name)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_trajectory_rejected(self):
         dd = fermionic.FermionicDriftDiffusion(x=50.0 * np.eye(2), y=np.zeros((2, 2)))

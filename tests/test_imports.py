@@ -96,7 +96,8 @@ class TestColdStart:
         assert _fresh(_CLI_PROBE, "evolve", "--model", model_file, "--steps", "4",
                       "--output", str(tmp_path / "traj.csv")) == []
 
-    @pytest.mark.parametrize("module", ["lyapunov", "fermionic", "entanglement"])
+    @pytest.mark.parametrize("module", ["lyapunov", "fermionic", "entanglement", "io", "bosonic",
+                                        "model"])
     def test_import_loads_no_scipy(self, module):
         assert _fresh(f"import json, sys\nimport glme.{module}\n" + _REPORT) == []
 

@@ -181,11 +181,102 @@ def _pinned_outputs() -> dict[str, str]:
     }
 
 
+def _edge_pairs(rng, n_times: int, dim: int, sign: float) -> np.ndarray:
+    """Stacked matrices with m[k, j] = sign * m[j, k] above the diagonal.
+
+    Even states put _EDGE_VALUES first in the upper triangle, odd ones put
+    zero pairs there with each combination of signs: (+0, +0), which a
+    fermionic antisymmetric part stores, (+0, -0), (-0, +0) and (-0, -0).
+    Other upper entries are random 17-digit values across many decades. The
+    bosonic diagonal cycles through _EDGE_VALUES; the fermionic one is 0.
+    """
+    upper = np.triu_indices(dim, 1)
+    size = upper[0].size
+    exponents = rng.integers(-30, 30, size=(n_times, size))
+    vals = rng.standard_normal((n_times, size)) * 10.0 ** exponents
+    for t in range(0, n_times, 2):
+        vals[t, :min(size, 10)] = np.roll(_EDGE_VALUES, t // 2)[:size]
+    m = np.zeros((n_times, dim, dim))
+    m[:, upper[0], upper[1]] = vals
+    m[:, upper[1], upper[0]] = sign * vals
+    zeros = [(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)]
+    for t in range(1, n_times, 2):
+        for p in range(min(size, 4)):
+            m[t, upper[0][p], upper[1][p]], m[t, upper[1][p], upper[0][p]] = zeros[(p + t // 2) % 4]
+    if sign > 0:
+        for t in range(n_times):
+            m[t, range(dim), range(dim)] = np.resize(np.roll(_EDGE_VALUES, t), dim)
+    return m
+
+
+_EDGE_TEXTS = {"0", "-0", "4.9406564584124654e-324", "10000000000000000", "0.66666666666666663"}
+
+
+def _reference_csv(header: list[str], rows) -> str:
+    return "".join(",".join(line) + "\n" for line in [header] + [
+        [io.format_float(x) for x in row] for row in rows])
+
+
+def _reference_json(kind: str, times, states: list[dict]) -> str:
+    """A trajectory JSON with every number rendered by format_float."""
+    rendered = ", ".join("{" + ", ".join(f'"{key}": {_reference_render(value.tolist())}'
+                                         for key, value in state.items()) + "}" for state in states)
+    times = _reference_render(np.asarray(times, dtype=float).tolist())
+    return f'{{"kind": "{kind}", "times": {times}, "states": [{rendered}]}}\n'
+
+
 class TestTrajectorySerialization:
     @pytest.mark.parametrize("writer", sorted(_PINNED_SHA256))
     def test_writer_bytes_pinned(self, writer):
         text = _pinned_outputs()[writer]
         assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_SHA256[writer]
+
+    @pytest.mark.parametrize("n_modes, n_times", [(1, 9), (2, 5), (3, 4), (20, 4)])
+    def test_bosonic_writers_match_per_number_rendering(self, rng, n_modes, n_times):
+        dim = 2 * n_modes
+        times = np.cumsum(rng.choice(_EDGE_VALUES[5:], size=n_times) ** 2) - 1.0
+        means = rng.choice(_EDGE_VALUES, size=(n_times, dim))
+        traj = bosonic.Trajectory(times, _edge_pairs(rng, n_times, dim, 1.0), means)
+        assert _EDGE_TEXTS <= {io.format_float(x) for x in traj.covs.ravel()}
+        header = ["t"] + [f"mean_{j + 1}" for j in range(dim)]
+        header += [f"V_{j + 1}{k + 1}" for j in range(dim) for k in range(dim)]
+        rows = [[t, *mean, *v.ravel()] for t, mean, v in zip(traj.times, traj.means, traj.covs)]
+        assert io.bosonic_trajectory_csv(traj) == _reference_csv(header, rows)
+        states = [{"mean": mean, "V": v} for mean, v in zip(traj.means, traj.covs)]
+        assert io.bosonic_trajectory_json(traj) == _reference_json("bosonic", traj.times, states)
+
+    @pytest.mark.parametrize("n_modes, n_times", [(1, 9), (2, 5), (3, 4), (20, 4)])
+    @pytest.mark.parametrize("container", ["trajectory", "states"])
+    def test_fermionic_writers_match_per_number_rendering(self, rng, n_modes, n_times, container):
+        dim = 2 * n_modes
+        times = np.cumsum(rng.choice(_EDGE_VALUES[5:], size=n_times) ** 2) - 1.0
+        traj = bosonic.Trajectory(times, _edge_pairs(rng, n_times, dim, -1.0))
+        sigmas = traj.covs
+        if n_modes > 1:
+            assert _EDGE_TEXTS <= {io.format_float(x) for x in sigmas.ravel()}
+        # every sign combination of a zero pair survives the antisymmetric part
+        pairs = {(np.signbit(s[j, k]), np.signbit(s[k, j]))
+                 for s in sigmas for j, k in zip(*np.triu_indices(dim, 1)) if s[j, k] == 0}
+        assert pairs == {(False, False), (False, True), (True, False)}
+        if container == "states":
+            times, states = times.tolist(), [fermionic.FermionicGaussianState(s) for s in sigmas]
+        else:
+            states = traj
+        upper = np.triu_indices(dim, 1)
+        header = ["t"] + [f"sigma_{j + 1}{k + 1}" for j, k in zip(*upper)]
+        rows = [[t, *s[upper]] for t, s in zip(traj.times, sigmas)]
+        assert io.fermionic_trajectory_csv(times, states) == _reference_csv(header, rows)
+        expected = _reference_json("fermionic", times, [{"sigma": s} for s in sigmas])
+        assert io.fermionic_trajectory_json(times, states) == expected
+
+    def test_fermionic_writers_reject_bosonic_trajectory(self):
+        traj = bosonic.Trajectory([0.0], np.eye(2)[None], np.zeros((1, 2)))
+        for writer in (io.fermionic_trajectory_csv, io.fermionic_trajectory_json):
+            with pytest.raises(StructuralError, match="bosonic"):
+                writer(traj.times, traj)
+
+    def test_empty_fermionic_json(self):
+        assert io.fermionic_trajectory_json([], []) == '{"kind": "fermionic", "times": [], "states": []}\n'
 
     def test_bosonic_csv_layout(self):
         dd = bosonic.build_drift_diffusion(damped_oscillator_model())

@@ -32,6 +32,19 @@ class TestSymplecticForm:
         with pytest.raises(StructuralError):
             model.symplectic_form(0)
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_one_cached_read_only_array_per_mode_count(self, n):
+        omega = model.symplectic_form(n)
+        assert model.symplectic_form(n) is omega
+        assert not omega.flags.writeable
+        with pytest.raises(ValueError):
+            omega[0, 0] = 1.0
+        expected = np.zeros((2 * n, 2 * n))
+        for j in range(n):
+            expected[2 * j, 2 * j + 1] = 1.0
+            expected[2 * j + 1, 2 * j] = -1.0
+        assert omega.tobytes() == expected.tobytes()
+
 
 class TestValidateModel:
     def test_diagonal_real_gamma_is_valid(self):
