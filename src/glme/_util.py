@@ -76,6 +76,12 @@ def require_matrix(m, name: str, shape: tuple[int, int] | None = None, dtype=com
     return require_finite(arr, name)
 
 
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr`` with its writeable flag cleared; only for arrays the caller owns or hands over."""
+    arr.flags.writeable = False
+    return arr
+
+
 def require_vector(v, name: str, length: int | None = None, dtype=float) -> np.ndarray:
     arr = np.asarray(v, dtype=dtype)
     if arr.ndim != 1:

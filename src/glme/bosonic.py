@@ -15,6 +15,7 @@ import numpy as np
 from . import lyapunov
 from ._util import (
     max_abs,
+    read_only,
     require_finite,
     require_matrix,
     require_square,
@@ -58,13 +59,19 @@ class GaussianState:
         v = require_square(self.v, "V", dtype=float)
         if v.shape[0] % 2 != 0 or v.shape[0] == 0:
             raise StructuralError(f"V must be 2N x 2N, got shape {v.shape}")
-        mean = require_vector(self.mean, "mean", length=v.shape[0])
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "v", _symmetric(v, "V"))
+        # require_vector may return the caller's array, which is never frozen
+        mean = require_vector(self.mean, "mean", length=v.shape[0]).copy()
+        object.__setattr__(self, "mean", read_only(mean))
+        object.__setattr__(self, "v", read_only(_symmetric(v, "V")))
 
     @classmethod
     def _trusted(cls, mean: np.ndarray, v: np.ndarray) -> "GaussianState":
-        """Wrap float arrays already checked by their builder, skipping ``__post_init__``."""
+        """Wrap read-only float arrays checked where they were made, skipping ``__post_init__``.
+
+        They are views of a ``Trajectory``'s read-only stacks, or arrays the
+        caller owns and passed through ``read_only``: setting the flag here
+        would cost about 0.8 us per array, for every state of a trajectory.
+        """
         state = object.__new__(cls)
         object.__setattr__(state, "mean", mean)
         object.__setattr__(state, "v", v)
@@ -125,7 +132,7 @@ class Trajectory:
     means: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        means = None if self.means is None else np.asarray(self.means, dtype=float)
+        means = None if self.means is None else np.array(self.means, dtype=float)  # owned copy
         self._store(lyapunov.validate_times(self.times), np.asarray(self.covs, dtype=float),
                     means, exact=False)
 
@@ -154,10 +161,10 @@ class Trajectory:
                 covs = _antisymmetric(covs, "covariance")
             else:
                 covs = _symmetric(covs, "covariance")
-        covs.flags.writeable = False  # owned: the (anti)symmetric part, or handed over to _trusted
+        # owned: the (anti)symmetric part and a copy of the means, or handed over to _trusted
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "covs", covs)
-        object.__setattr__(self, "means", means)
+        object.__setattr__(self, "covs", read_only(covs))
+        object.__setattr__(self, "means", None if means is None else read_only(means))
 
     @cached_property
     def states(self) -> list:
@@ -225,7 +232,7 @@ def steady_state(dd: BosonicDriftDiffusion) -> GaussianState:
     """Unique fixed point of the moment dynamics for a Hurwitz drift."""
     # the backward-error gate rejects non-finite solutions and symmetrize makes V exact
     v = lyapunov.steady_state(dd.a, dd.d, symmetrize)
-    return GaussianState._trusted(np.zeros(dd.a.shape[0]), v)
+    return GaussianState._trusted(read_only(np.zeros(dd.a.shape[0])), read_only(v))
 
 
 def check_physicality(v) -> tuple[bool, float]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lyapunov
-from ._util import antisymmetrize, max_abs, require_square, require_squares
+from ._util import antisymmetrize, max_abs, read_only, require_square, require_squares
 from .bosonic import Trajectory
 from .errors import BoundaryError, StructuralError
 from .model import FERMIONIC, GeneralizedLindbladModel, require_valid
@@ -40,11 +40,15 @@ class FermionicGaussianState:
         sigma = require_square(self.sigma, "sigma", dtype=float)
         if sigma.shape[0] % 2 != 0 or sigma.shape[0] == 0:
             raise StructuralError(f"sigma must be 2N x 2N, got shape {sigma.shape}")
-        object.__setattr__(self, "sigma", _antisymmetric(sigma, "sigma"))
+        object.__setattr__(self, "sigma", read_only(_antisymmetric(sigma, "sigma")))
 
     @classmethod
     def _trusted(cls, sigma: np.ndarray) -> "FermionicGaussianState":
-        """Wrap a float array already checked by its builder, skipping ``__post_init__``."""
+        """Wrap a read-only float array checked where it was made, skipping ``__post_init__``.
+
+        It is a view of a ``Trajectory``'s read-only stack, or an array the
+        caller owns and passed through ``read_only``.
+        """
         state = object.__new__(cls)
         object.__setattr__(state, "sigma", sigma)
         return state
@@ -124,7 +128,8 @@ def is_hurwitz(dd: FermionicDriftDiffusion) -> tuple[bool, float]:
 def steady_state(dd: FermionicDriftDiffusion) -> FermionicGaussianState:
     """Fixed point of the covariance dynamics for a Hurwitz drift."""
     # the backward-error gate rejects non-finite solutions and antisymmetrize makes sigma exact
-    return FermionicGaussianState._trusted(lyapunov.steady_state(dd.x, dd.y, antisymmetrize))
+    sigma = lyapunov.steady_state(dd.x, dd.y, antisymmetrize)
+    return FermionicGaussianState._trusted(read_only(sigma))
 
 
 def check_physicality(sigma) -> tuple[bool, float]:

@@ -275,6 +275,8 @@ def _sigmas(times, states) -> np.ndarray:
 def fermionic_trajectory_csv(times, states) -> str:
     """CSV rows t, sigma_12, sigma_13, ... (strict upper triangle, row-major)."""
     sigmas = _sigmas(times, states)
+    if sigmas.ndim != 3:
+        raise StructuralError("an empty list of states has no mode count, so no CSV header")
     upper = np.triu_indices(sigmas.shape[1], 1)
     header = ["t"] + [f"sigma_{j + 1}{k + 1}" for j, k in zip(*upper)]
     rows = np.empty((len(sigmas), 1 + upper[0].size))

@@ -6,23 +6,24 @@ trusting the moment machinery under test. Each engine applies its generator
 in operator form, L(rho) = G rho + rho G' + sum_j F_j rho B_j with
 G = -iH - K/2, G' = iH - K/2 and B_j = sum_k gamma[j, k] F_k^dag (the double
 sum over the decoherence matrix grouped by its rows), in ``liouvillian`` and
-the Heisenberg ``liouvillian_adjoint``. It also assembles the generator
-once, on demand, as a sparse CSR superoperator on row-major vectorized
-states. That matrix is block diagonal up to a permutation: a quadratic
-Hamiltonian with linear channels never changes the parity of m + n in
-|m><n| (the Jordan-Wigner parities for fermions). Evolution touches only
-the invariant sectors the initial state occupies, with
-``scipy.sparse.linalg.expm_multiply`` at any dimension or, for small
-dimensions, one dense exponential per union of sectors closed under
-|m><n| -> |n><m|. A sector whose part of the state is below the rounding
-floor dim * eps * ||rho0|| stays exactly zero. The engines are built from a
+the Heisenberg ``liouvillian_adjoint``. The engines are built from a
 validated model with its decoherence matrix taken Hermitian, so the
-generator maps Hermitian operators to Hermitian operators and, on an
-orthonormal basis of Hermitian matrices, is a real matrix (Gorini,
-Kossakowski & Sudarshan, J. Math. Phys. 17:821, 1976); the dense
-exponentials are taken there, in real arithmetic. Moments are read as
-traces Tr(a rho) = sum_ij a_ij rho_ji over the stored entries of a, in
-O(nnz(a)), with no matrix product formed.
+generator maps Hermitian operators to Hermitian operators: its sparse
+superoperator S on row-major vectorized states is fixed by its rows m <= n
+(S[pi j, pi k] = conj S[j, k] for the transposition pi: |m><n| -> |n><m|),
+and on an orthonormal basis of Hermitian matrices it is a real matrix R
+(Gorini, Kossakowski & Sudarshan, J. Math. Phys. 17:821, 1976). Evolution
+assembles only those half rows. S is block diagonal up to a permutation (a
+quadratic Hamiltonian with linear channels never changes the parity of
+m + n in |m><n|; the Jordan-Wigner parities for fermions), and evolution
+touches only the unions of its invariant sectors, closed under pi, that the
+initial state occupies: with ``scipy.sparse.linalg.expm_multiply`` on R in
+operator form at any dimension, or for small dimensions one dense real
+exponential of R per union. Weight below the rounding floor
+dim * eps * ||rho0||, in a union or in the anti-Hermitian part of rho0,
+stays exactly zero. Moments are read as traces
+Tr(a rho) = sum_ij a_ij rho_ji over the stored entries of a, in O(nnz(a)),
+with no matrix product formed.
 """
 
 from __future__ import annotations
@@ -102,40 +103,49 @@ def _triplets(op) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _kron_sum(terms, d: int) -> sp.csr_matrix:
-    """CSR matrix of the sum of ``w * kron(a, b)`` over d x d factors given as triplets.
+    """CSR matrix of the rows m <= n of the sum of ``w * kron(a, b)`` over d x d factors.
 
-    Every term writes its nnz(a) * nnz(b) entries into one coordinate buffer
-    sized in advance, and a single CSR conversion sums the duplicates, so
-    terms with disjoint sparsity patterns cost their own entries and no
-    intermediate sums.
+    The factors are given as triplets. Row m * d + n of kron(a, b) pairs row
+    m of a with row n of b, so each term keeps its entries with
+    a_row <= b_row, writes them into one coordinate buffer sized in advance,
+    and a single CSR conversion sums the duplicates. The rows m > n stay
+    empty: for a generator that preserves Hermiticity they are the mirror
+    of the others (see ``_mirror``).
     """
-    total = sum(a[2].size * b[2].size for _, a, b in terms)
-    rows = np.empty(total, dtype=np.int32)     # d * d <= _MAX_DENSE_DIM ** 2 < 2 ** 31
-    cols = np.empty(total, dtype=np.int32)
-    data = np.empty(total, dtype=complex)
+    keeps = [np.less_equal.outer(a_row, b_row) for _, (a_row, _, _), (b_row, _, _) in terms]
+    counts = [int(np.count_nonzero(keep)) for keep in keeps]
+    rows = np.empty(sum(counts), dtype=np.int32)     # d * d <= _MAX_DENSE_DIM ** 2 < 2 ** 31
+    cols = np.empty(sum(counts), dtype=np.int32)
+    data = np.empty(sum(counts), dtype=complex)
     start = 0
-    for w, (a_row, a_col, a_val), (b_row, b_col, b_val) in terms:
-        shape = (a_val.size, b_val.size)
-        stop = start + a_val.size * b_val.size
-        np.add.outer(a_row * d, b_row, out=rows[start:stop].reshape(shape))
-        np.add.outer(a_col * d, b_col, out=cols[start:stop].reshape(shape))
-        np.multiply.outer(w * a_val, b_val, out=data[start:stop].reshape(shape))
+    for keep, count, (w, (a_row, a_col, a_val), (b_row, b_col, b_val)) in zip(keeps, counts, terms):
+        stop = start + count
+        rows[start:stop] = np.add.outer(a_row * d, b_row)[keep]
+        cols[start:stop] = np.add.outer(a_col * d, b_col)[keep]
+        data[start:stop] = np.multiply.outer(w * a_val, b_val)[keep]
         start = stop
     return sp.coo_matrix((data, (rows, cols)), shape=(d * d, d * d)).tocsr()
 
 
-def _lazy_operator(mat: sp.csr_matrix) -> LinearOperator:
-    """``mat`` as a LinearOperator whose adjoint products use the transpose view.
+def _transposition(dim: int) -> np.ndarray:
+    """Index of |n><m| in the row-major vectorized states, for each index of |m><n|."""
+    return np.arange(dim * dim).reshape(dim, dim).T.reshape(-1)
 
-    ``expm_multiply`` shifts and scales a LinearOperator lazily where it would
-    copy a sparse matrix, and scipy's own wrapper would make a conjugate copy
-    for the adjoint products of its norm estimates.
+
+def _mirror(half: sp.csr_matrix) -> sp.csr_matrix:
+    """The whole superoperator S from its rows m <= n.
+
+    S maps Hermitian operators to Hermitian operators, so with pi the
+    transposition |m><n| -> |n><m| it satisfies S[pi j, pi k] = conj S[j, k]:
+    the rows m > n are the conjugated, transposed rows m < n.
     """
-    def adjoint(x):
-        return mat.T.dot(x.conj()).conj()
-
-    return LinearOperator(mat.shape, matvec=mat.dot, rmatvec=adjoint,
-                          matmat=mat.dot, rmatmat=adjoint, dtype=mat.dtype)
+    swap = _transposition(math.isqrt(half.shape[0]))
+    coo = half.tocoo()
+    strict = swap[coo.row] > coo.row
+    return sp.csr_matrix((np.concatenate([coo.data, coo.data[strict].conj()]),
+                          (np.concatenate([coo.row, swap[coo.row[strict]]]),
+                           np.concatenate([coo.col, swap[coo.col[strict]]]))),
+                         shape=half.shape)
 
 
 def _sectors(mat: sp.csr_matrix, swap: bool = False) -> list[np.ndarray]:
@@ -146,7 +156,9 @@ def _sectors(mat: sp.csr_matrix, swap: bool = False) -> list[np.ndarray]:
     components, so its exponential is the direct sum of theirs. With
     ``swap``, ``mat`` acts on row-major vectorized states and every |m><n|
     is also joined to |n><m|: each component is then a smallest union of
-    sectors closed under that transposition.
+    sectors closed under that transposition. The rows m <= n of a
+    superoperator that preserves Hermiticity give the same unions as the
+    whole matrix, since its rows m > n are their transposed mirror.
     """
     # imported here: loading csgraph costs every `import glme` about 25 ms and 1 MB
     from scipy.sparse.csgraph import connected_components
@@ -154,49 +166,115 @@ def _sectors(mat: sp.csr_matrix, swap: bool = False) -> list[np.ndarray]:
     pattern = sp.csr_matrix((np.ones(mat.indices.size), mat.indices, mat.indptr), shape=mat.shape)
     if swap:
         size = mat.shape[0]
-        dim = math.isqrt(size)
-        transposed = np.arange(size).reshape(dim, dim).T.reshape(-1)
-        pattern = pattern + sp.csr_matrix((np.ones(size), transposed, np.arange(size + 1)),
-                                          shape=mat.shape)
+        pattern = pattern + sp.csr_matrix((np.ones(size), _transposition(math.isqrt(size)),
+                                           np.arange(size + 1)), shape=mat.shape)
     count, labels = connected_components(pattern, directed=True, connection="weak")
     return [np.flatnonzero(labels == c) for c in range(count)]
 
 
-def _occupied_sectors(mat: sp.csr_matrix, vec: np.ndarray, dim: int,
-                      swap: bool = False) -> list[np.ndarray]:
-    """The sectors of ``mat`` (see ``_sectors``, which takes ``swap``) that carry weight of ``vec``.
+_SQRT_HALF = 1.0 / math.sqrt(2.0)
 
-    ``vec`` is a vectorized dim x dim state. A sector whose part of it has a
-    2-norm of at most dim * eps * ||vec||, below the rounding error of forming
-    such a state by matrix products, counts as empty: the evolution takes
-    that part as exactly zero, and it stays zero.
+
+class _RealGenerator:
+    """A generator that preserves Hermiticity, as a real matrix R on a transposition-closed set.
+
+    The set of indices |m><n| is a union of invariant sectors closed under
+    |m><n| -> |n><m|, ordered as its diagonal |m><m|, its |m><n| with m < n,
+    and their transposes. A Hermitian rho has the real coordinates
+    z = rho_mm, x = sqrt(2) Re rho_mn and y = sqrt(2) Im rho_mn, in that
+    order: U^dag vec(rho) for a unitary U that pairs only |m><n| with
+    |n><m|, whose columns are an orthonormal basis of Hermitian matrices.
+    There the generator is the real matrix R = U^dag S U (Gorini, Kossakowski
+    & Sudarshan, J. Math. Phys. 17:821, 1976), fixed by the rows m <= n of S.
+    Those rows are kept as H' = D_r H D_c in the coordinate order, with D_r
+    sqrt(2) on the rows m < n and D_c 1/sqrt(2) on the columns m != n (1
+    elsewhere), so that R c = Re(Q H' W c) with W c = [z, x + iy, x - iy]
+    and Q reading the real part of every row and the imaginary part of the
+    rows m < n: slices around one complex CSR product.
     """
-    floor = dim * np.finfo(float).eps * np.linalg.norm(vec)
-    return [idx for idx in _sectors(mat, swap) if np.linalg.norm(vec[idx]) > floor]
 
+    def __init__(self, half: sp.csr_matrix, idx: np.ndarray):
+        dim = math.isqrt(half.shape[0])
+        m, n = np.divmod(idx, dim)
+        self.diag, self.upper, self.lower = idx[m == n], idx[m < n], (n * dim + m)[m < n]
+        self.n_diag = self.diag.size
+        self.n_rows = self.n_diag + self.upper.size     # the rows m <= n
+        self.size = idx.size
+        rows = half[np.concatenate([self.diag, self.upper])]   # their entries lie in the set
+        local = np.empty(half.shape[1], dtype=np.int32)
+        local[np.concatenate([self.diag, self.upper, self.lower])] = np.arange(self.size)
+        cols = local[rows.indices]
+        scale = np.where(np.repeat(np.arange(self.n_rows), np.diff(rows.indptr)) < self.n_diag,
+                         1.0, math.sqrt(2.0))
+        scale *= np.where(cols < self.n_diag, 1.0, _SQRT_HALF)
+        self.rows = sp.csr_matrix((rows.data * scale, cols, rows.indptr),
+                                  shape=(self.n_rows, self.size))
 
-def _hermitian_basis(dim: int) -> sp.csr_matrix:
-    """Unitary U from real coordinates to the row-major vec(rho) of a Hermitian rho.
+    def coords(self, vec: np.ndarray) -> np.ndarray:
+        """U^dag vec(rho).
 
-    Each coordinate sits at the index of one |m><n|: z = rho_mm on the
-    diagonal, x = sqrt(2) Re rho_mn at m < n and y = sqrt(2) Im rho_mn at the
-    transposed index, so U pairs only |m><n| with |n><m|. The columns are
-    an orthonormal basis of Hermitian matrices; U^dag S U is real for every
-    superoperator S that maps Hermitian operators to Hermitian operators,
-    and U^dag vec(rho) has the coordinates of (rho + rho^dag) / 2 as its real
-    part and those of (rho - rho^dag) / 2i as its imaginary part.
-    """
-    size = dim * dim
-    idx = np.arange(size)
-    m, n = np.divmod(idx, dim)
-    pair = m != n
-    partner = (n * dim + m)[pair]
-    s = 1.0 / np.sqrt(2.0)
-    own = np.where(m < n, s, np.where(m > n, -1j * s, 1.0))
-    across = np.where(m < n, s, 1j * s)[pair]
-    return sp.csr_matrix((np.concatenate([own, across]),
-                          (np.concatenate([idx, partner]), np.concatenate([idx, idx[pair]]))),
-                         shape=(size, size))
+        Its real and imaginary parts are the coordinates of (rho + rho^dag) / 2
+        and of (rho - rho^dag) / 2i.
+        """
+        up, low = vec[self.upper], vec[self.lower]
+        return np.concatenate([vec[self.diag], _SQRT_HALF * (up + low),
+                               -1j * _SQRT_HALF * (up - low)])
+
+    def place(self, coords: np.ndarray, vec: np.ndarray):
+        """Write U coords into ``vec``; real coords give an exactly Hermitian state.
+
+        Two real columns are the real and imaginary parts of the coordinates.
+        """
+        if coords.ndim == 2:
+            coords = coords[:, 0] + 1j * coords[:, 1]
+        x, y = coords[self.n_diag:self.n_rows], coords[self.n_rows:]
+        vec[self.diag] = coords[:self.n_diag]
+        vec[self.upper] = _SQRT_HALF * (x + 1j * y)
+        vec[self.lower] = _SQRT_HALF * (x - 1j * y)
+
+    def dense(self) -> np.ndarray:
+        """R = Re(Q H' W) as a dense real matrix, from one scatter of the rows."""
+        h = self.rows.toarray()
+        nd, nr = self.n_diag, self.n_rows
+        hw = np.concatenate([h[:, :nd], h[:, nd:nr] + h[:, nr:], 1j * (h[:, nd:nr] - h[:, nr:])],
+                            axis=1)
+        return np.concatenate([hw.real, hw[nd:].imag])
+
+    def trace(self) -> float:
+        """Tr R = Tr S on the set."""
+        diag = self.rows.diagonal().real
+        return float(diag[:self.n_diag].sum() + 2.0 * diag[self.n_diag:].sum())
+
+    def operator(self) -> LinearOperator:
+        """R as a real LinearOperator, one complex CSR product with the rows per application.
+
+        The adjoint products of the norm estimates use the transposed rows:
+        R^T c = Re(W^T H'^T Q^T c) with Q^T c = [z, x - iy] and, for u split
+        like the set into diagonal, upper and lower parts,
+        W^T u = [u_diag, u_upper + u_lower, i(u_upper - u_lower)].
+        """
+        nd, nr, rows, adjoint_rows = self.n_diag, self.n_rows, self.rows, self.rows.T
+
+        def forward(c):
+            w = np.empty(c.shape, dtype=complex)
+            w[:nd] = c[:nd]
+            w.real[nd:nr] = w.real[nr:] = c[nd:nr]
+            w.imag[nd:nr] = c[nr:]
+            np.negative(c[nr:], out=w.imag[nr:])
+            out = rows @ w
+            return np.concatenate([out.real, out[nd:].imag])
+
+        def adjoint(c):
+            v = np.empty((nr,) + c.shape[1:], dtype=complex)
+            v[:nd] = c[:nd]
+            v.real[nd:] = c[nd:nr]
+            np.negative(c[nr:], out=v.imag[nd:])
+            u = adjoint_rows @ v
+            return np.concatenate([u[:nd].real, u[nd:nr].real + u[nr:].real,
+                                   u[nr:].imag - u[nd:nr].imag])
+
+        return LinearOperator((self.size, self.size), matvec=forward, rmatvec=adjoint,
+                              matmat=forward, rmatmat=adjoint, dtype=float)
 
 
 def _trace_product(a, rho: np.ndarray) -> complex:
@@ -285,17 +363,21 @@ class _DenseEngine:
         return np.asarray(out)
 
     def superoperator(self) -> sp.csr_matrix:
-        """CSR matrix of the generator on row-major vectorized states, built once."""
+        """CSR matrix of the generator on row-major vectorized states, built once.
+
+        The rows m <= n are assembled and the others completed as their mirror.
+        """
         if self._superop is None:
-            self._superop = self._assemble_superoperator()
+            self._superop = _mirror(self._assemble_superoperator())
         return self._superop
 
     def _assemble_superoperator(self) -> sp.csr_matrix:
-        """S = G kron I + I kron G'^T + sum_{mu nu} C[mu, nu] b_mu kron conj(b_nu).
+        """Rows m <= n of S = G kron I + I kron G'^T + sum_{mu nu} C[mu, nu] b_mu kron conj(b_nu).
 
         This is vec(A rho B) = (A kron B^T) vec(rho) applied to the master
         equation, with G = -iH - K/2, G' = iH - K/2, the basis operators b,
-        and C = E^T Gamma conj(E) for E = ``basis_rows``.
+        and C = E^T Gamma conj(E) for E = ``basis_rows``. The rows m > n are
+        left empty; they are the mirror of these (``_mirror``).
         """
         ident = _triplets(sp.identity(self.dim, dtype=complex))
         terms = [(1.0, _triplets(self._g), ident), (1.0, ident, _triplets(self._g_prime.T))]
@@ -310,90 +392,91 @@ class _DenseEngine:
     def evolve(self, rho0: np.ndarray, times, method: str = "krylov") -> list[np.ndarray]:
         """Propagate the master equation through the grid; first time is rho0.
 
-        Both methods evolve only the invariant sectors of the superoperator
-        that rho0 occupies (see ``_occupied_sectors``): a sector, for "expm" a
-        union of sectors closed under |m><n| -> |n><m|, where rho0 is below
-        the rounding floor dim * eps * ||rho0|| is zero in every returned
-        state. "krylov" applies ``expm_multiply`` to the superoperator
-        restricted to the occupied sectors, at any dimension. "expm", up to
-        dimension 32, writes each occupied union on the Hermitian basis of
-        ``_hermitian_basis``, where the generator is a real matrix R (Gorini,
-        Kossakowski & Sudarshan, 1976). It takes one real exponential of R
-        per union and distinct step, and advances the Hermitian and
-        anti-Hermitian parts of rho0 with it as two real coordinate columns,
-        so any complex rho0 is evolved. Every returned state is its own
-        array; the first is rho0.
+        Both methods assemble the rows m <= n of the superoperator S and
+        evolve only the unions of its invariant sectors, closed under
+        |m><n| -> |n><m| (``_sectors``), that rho0 occupies. A union where
+        the 2-norm of rho0 is at most the rounding floor dim * eps * ||rho0||,
+        below the rounding error of forming such a state by matrix products,
+        counts as empty and is zero in every returned state. On each union
+        the generator is the real matrix R of ``_RealGenerator``, and rho0 is
+        two real columns of coordinates: its Hermitian part and its
+        anti-Hermitian part (rho0 - rho0^dag) / 2i. The second column is
+        evolved only when its norm is above the same floor and is otherwise
+        exactly zero, so a Hermitian rho0 gives exactly Hermitian states.
+        "krylov" applies ``expm_multiply`` to R in operator form on all
+        occupied unions at once, one complex sparse product with the half
+        rows per application, at any dimension. "expm", up to dimension 32,
+        takes one dense real exponential of R per union and distinct step.
+        Every returned state is its own array; the first is rho0.
         """
         times = lyapunov.validate_times(times)
         rho0 = require_finite(np.asarray(rho0, dtype=complex), "rho0")
         if rho0.shape != (self.dim, self.dim):
             raise StructuralError(f"state must be {self.dim}x{self.dim}, got {rho0.shape}")
         if method == "expm":
-            return self._evolve_expm(rho0, times)
-        if method == "krylov":
-            return self._evolve_krylov(rho0, times)
-        raise StructuralError(f"unknown dense integration method {method!r}")
-
-    def _evolve_expm(self, rho0, times) -> list[np.ndarray]:
-        if self.dim > _SUPEROP_CUTOFF:
-            raise StructuralError(
-                f"dense superoperator exponential limited to dimension {_SUPEROP_CUTOFF}, "
-                f"got {self.dim}"
-            )
-        sup = self.superoperator()
-        basis = _hermitian_basis(self.dim)
-        basis_h = basis.conj().T
-        unions = _occupied_sectors(sup, rho0.reshape(-1), self.dim, swap=True)
-        real = (basis_h @ sup @ basis).tocsr()
-        # the imaginary part left is the rounding of the assembly
-        blocks = [real[idx][:, idx].toarray().real for idx in unions]
-        coords = basis_h @ rho0.reshape(-1)
-        parts = [np.column_stack([coords[idx].real, coords[idx].imag]) for idx in unions]
-        out = [rho0]
-        flows = {}
-        for dt in lyapunov.grid_steps(times).tolist():
-            if dt not in flows:
-                flows[dt] = [expm(block * dt) for block in blocks]
-            parts = [flow @ part for flow, part in zip(flows[dt], parts)]
-            coords = np.zeros_like(coords)
-            for idx, part in zip(unions, parts):
-                coords[idx] = part[:, 0] + 1j * part[:, 1]
-            out.append((basis @ coords).reshape(self.dim, self.dim))
-        return out
-
-    def _evolve_krylov(self, rho0, times) -> list[np.ndarray]:
-        # A matrix assembled here lives for this call only: at two modes and
-        # fock_dim 16 it takes 38 MB, which callers holding engines and their
-        # density matrices would otherwise keep as well.
-        sup = self._superop if self._superop is not None else self._assemble_superoperator()
-        v0 = rho0.reshape(-1)
-        keep = np.zeros(v0.size, dtype=bool)
-        for sector in _occupied_sectors(sup, v0, self.dim):
-            keep[sector] = True
-        if keep.any() and not keep.all():
-            idx = np.flatnonzero(keep)
-            sup = sup[idx][:, idx]
-        else:   # nothing to drop, or rho0 = 0, which S itself keeps at zero
-            idx = slice(None)
-        op = _lazy_operator(sup)
-        trace_a = complex(sup.trace())
-        steps = lyapunov.grid_steps(times)
-        if steps.size > 1 and np.all(steps == steps[0]):
-            span = float(times[-1] - times[0])
-            rows = expm_multiply(op, v0[idx], start=0.0, stop=span, num=times.size,
-                                 endpoint=True, traceA=trace_a)[1:]
+            if self.dim > _SUPEROP_CUTOFF:
+                raise StructuralError(
+                    f"dense superoperator exponential limited to dimension {_SUPEROP_CUTOFF}, "
+                    f"got {self.dim}"
+                )
+            run = _expm_path
+        elif method == "krylov":
+            run = _krylov_path
         else:
-            rows, vec = [], v0[idx]
-            for dt in steps:
-                vec = expm_multiply(op, vec, start=0.0, stop=float(dt), num=2,
-                                    endpoint=True, traceA=trace_a)[-1]
-                rows.append(vec)
+            raise StructuralError(f"unknown dense integration method {method!r}")
+        # The half rows live for this call only: at two modes and fock_dim 16
+        # they take 19 MB, which callers holding engines and their density
+        # matrices would otherwise keep as well.
+        half = self._assemble_superoperator()
+        vec = rho0.reshape(-1)
+        floor = self.dim * np.finfo(float).eps * np.linalg.norm(vec)
+        unions = [idx for idx in _sectors(half, swap=True) if np.linalg.norm(vec[idx]) > floor]
+        if method == "krylov" and unions:
+            unions = [np.sort(np.concatenate(unions))]
+        gens = [_RealGenerator(half, idx) for idx in unions]
+        coords = [gen.coords(vec) for gen in gens]
+        anti = math.hypot(*(np.linalg.norm(c.imag) for c in coords), 0.0) > floor
+        paths = [run(gen, np.column_stack([c.real, c.imag]) if anti else c.real, times)
+                 for gen, c in zip(gens, coords)]
         out = [rho0]
-        for row in rows:
-            vec = np.zeros_like(v0)
-            vec[idx] = row
-            out.append(vec.reshape(self.dim, self.dim))
+        for k in range(times.size - 1):
+            state = np.zeros(self.dim * self.dim, dtype=complex)
+            for gen, path in zip(gens, paths):
+                gen.place(path[k], state)
+            out.append(state.reshape(self.dim, self.dim))
         return out
+
+
+def _expm_path(gen: _RealGenerator, coords: np.ndarray, times: np.ndarray) -> list[np.ndarray]:
+    """Coordinates at times[1:], by one dense exponential of R per distinct step."""
+    real = gen.dense()
+    flows = {}
+    path = []
+    for dt in lyapunov.grid_steps(times).tolist():
+        if dt not in flows:
+            flows[dt] = expm(real * dt)
+        coords = flows[dt] @ coords
+        path.append(coords)
+    return path
+
+
+def _krylov_path(gen: _RealGenerator, coords: np.ndarray, times: np.ndarray) -> list[np.ndarray]:
+    """Coordinates at times[1:], by ``expm_multiply`` on R in operator form.
+
+    A uniform grid takes one call over the whole interval; any other grid
+    one call per step.
+    """
+    op, trace = gen.operator(), gen.trace()
+    steps = lyapunov.grid_steps(times)
+    if steps.size > 1 and np.all(steps == steps[0]):
+        return list(expm_multiply(op, coords, start=0.0, stop=float(times[-1] - times[0]),
+                                  num=times.size, endpoint=True, traceA=trace)[1:])
+    path = []
+    for dt in steps:
+        coords = expm_multiply(op, coords, start=0.0, stop=float(dt), num=2,
+                               endpoint=True, traceA=trace)[-1]
+        path.append(coords)
+    return path
 
 
 class DenseBosonicEngine(_DenseEngine):

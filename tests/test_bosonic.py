@@ -307,6 +307,30 @@ class TestTrajectory:
             traj[0].v[1, 0] = 0.5
         assert v.flags.writeable
 
+    @pytest.mark.parametrize("build", ["checked", "steady_state", "trajectory"])
+    def test_states_read_only(self, build):
+        # an in-place edit after construction would reach the writers
+        mean, v = np.array([0.1, -0.2]), np.array([[1.0, 0.3], [0.3, 2.0]])
+        if build == "checked":
+            state = bosonic.GaussianState(mean, v)
+            assert not np.shares_memory(state.mean, mean)
+        elif build == "steady_state":
+            state = bosonic.steady_state(bosonic.build_drift_diffusion(damped_oscillator_model()))
+        else:
+            state = bosonic.Trajectory([0.0], v[None], mean[None]).states[0]
+        with pytest.raises(ValueError):
+            state.v[1, 0] = 0.5
+        with pytest.raises(ValueError):
+            state.mean[0] = 0.5
+        assert mean.flags.writeable and v.flags.writeable
+
+    def test_trajectory_means_read_only_copy(self):
+        means = np.zeros((1, 2))
+        traj = bosonic.Trajectory([0.0], np.eye(2)[None], means)
+        with pytest.raises(ValueError):
+            traj.means[0, 0] = 0.5
+        assert means.flags.writeable and not np.shares_memory(traj.means, means)
+
     def test_zero_means_without_mean0(self):
         dd = bosonic.build_drift_diffusion(damped_oscillator_model())
         traj = bosonic.propagate_covariance(dd, np.eye(2), [0.0, 1.0])

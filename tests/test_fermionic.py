@@ -303,6 +303,20 @@ class TestStructure:
         with pytest.raises(StructuralError, match="antisymmetric"):
             store(J + 1e-6 * np.ones((2, 2)))
 
+    @pytest.mark.parametrize("build", ["checked", "steady_state", "trajectory"])
+    def test_states_read_only(self, build):
+        # an in-place edit that broke antisymmetry would reach the writers' mirror
+        sigma = np.array([[0.0, 0.4], [-0.4, 0.0]])
+        if build == "checked":
+            state = fermionic.FermionicGaussianState(sigma)
+        elif build == "steady_state":
+            state = fermionic.steady_state(fermionic.build_drift_diffusion(fermionic_decay_model()))
+        else:
+            state = bosonic.Trajectory([0.0], sigma[None]).states[0]
+        with pytest.raises(ValueError):
+            state.sigma[1, 0] = -0.3
+        assert sigma.flags.writeable
+
     def test_flavor_mismatch_rejected(self):
         from conftest import damped_oscillator_model
 

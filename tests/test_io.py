@@ -278,6 +278,11 @@ class TestTrajectorySerialization:
     def test_empty_fermionic_json(self):
         assert io.fermionic_trajectory_json([], []) == '{"kind": "fermionic", "times": [], "states": []}\n'
 
+    def test_empty_fermionic_csv_refused(self):
+        # the mode count, and so the header, is unknown without a state
+        with pytest.raises(StructuralError, match="empty"):
+            io.fermionic_trajectory_csv([], [])
+
     def test_bosonic_csv_layout(self):
         dd = bosonic.build_drift_diffusion(damped_oscillator_model())
         traj = bosonic.propagate_covariance(dd, np.eye(2), np.linspace(0, 1, 3))

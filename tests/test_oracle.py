@@ -320,10 +320,10 @@ def _off_diagonal_plus_density(rng, dim) -> np.ndarray:
 class TestSectorExponential:
     times = np.array([0.0, 0.3, 1.0, 1.2, 2.0])
 
-    @pytest.mark.parametrize("rho0_of", [lambda rng, d: oracle.random_density(rng, d),
-                                         _off_diagonal_plus_density],
-                             ids=["hermitian", "non_hermitian"])
-    @pytest.mark.parametrize("build,sectors,unions", [
+    _rho0s = pytest.mark.parametrize("rho0_of", [lambda rng, d: oracle.random_density(rng, d),
+                                                 _off_diagonal_plus_density],
+                                     ids=["hermitian", "non_hermitian"])
+    _engines = pytest.mark.parametrize("build,sectors,unions", [
         # generic quadratic H with squeezing terms: the parity of m + n, closed under transposition
         (lambda rng: oracle.DenseBosonicEngine(random_bosonic_model(rng, 1), fock_dim=12), 2, 2),
         # the dark mode keeps its ket and bra occupations: 4 x 2 parity sectors, and the
@@ -333,15 +333,23 @@ class TestSectorExponential:
         # transposition joins (even, odd) with (odd, even)
         (lambda rng: oracle.DenseBosonicEngine(_squeezing_only_model(), fock_dim=12), 4, 3),
     ])
-    def test_matches_full_exponential(self, rng, build, sectors, unions, rho0_of):
+
+    @_rho0s
+    @_engines
+    def test_matches_full_exponential(self, rng, build, sectors, unions, rho0_of, method="expm"):
         engine = build(rng)
         assert len(oracle._sectors(engine.superoperator())) == sectors
         assert len(oracle._sectors(engine.superoperator(), swap=True)) == unions
         rho0 = rho0_of(rng, engine.dim)
-        got = engine.evolve(rho0, self.times, method="expm")
+        got = engine.evolve(rho0, self.times, method=method)
         ref = _full_exponential_evolution(engine, rho0, self.times)
         for a, b in zip(got, ref, strict=True):
             assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+    @_rho0s
+    @_engines
+    def test_krylov_matches_full_exponential(self, rng, build, sectors, unions, rho0_of):
+        self.test_matches_full_exponential(rng, build, sectors, unions, rho0_of, method="krylov")
 
     def test_sectors_partition_the_states(self, rng):
         engine = oracle.DenseFermionicEngine(_dark_third_mode_model(rng))
@@ -481,7 +489,7 @@ class TestEngineValidation:
     @pytest.mark.parametrize("flavor", list(_ENGINES))
     def test_generator_is_real_on_the_hermitian_basis(self, rng, flavor):
         engine = _ENGINES[flavor](_random_model(rng, flavor))
-        basis = oracle._hermitian_basis(engine.dim)
+        basis = _hermitian_basis(engine.dim)
         d2 = engine.dim ** 2
         assert np.max(np.abs((basis.conj().T @ basis).toarray() - np.eye(d2))) <= 1e-15
         real = (basis.conj().T @ engine.superoperator() @ basis).toarray()
@@ -492,6 +500,100 @@ class TestEngineValidation:
         coords = basis.conj().T @ rho.reshape(-1)
         assert np.all(coords.imag == 0)
         assert np.all((basis.conj().T @ (1j * rho).reshape(-1)).real == 0)
+
+
+def _hermitian_basis(dim: int) -> sp.csr_matrix:
+    """Unitary U from real coordinates to the row-major vec(rho) of a Hermitian rho.
+
+    Each coordinate sits at the index of one |m><n|: z = rho_mm on the
+    diagonal, x = sqrt(2) Re rho_mn at m < n and y = sqrt(2) Im rho_mn at the
+    transposed index. The columns are an orthonormal basis of Hermitian
+    matrices, built entry by entry as the reference for the engines' real
+    generator.
+    """
+    size = dim * dim
+    u = np.zeros((size, size), dtype=complex)
+    s = 1.0 / np.sqrt(2.0)
+    for m in range(dim):
+        u[m * dim + m, m * dim + m] = 1.0
+        for n in range(m + 1, dim):
+            x, y = m * dim + n, n * dim + m
+            u[x, x], u[y, x] = s, s             # (|m><n| + |n><m|) / sqrt 2
+            u[x, y], u[y, y] = 1j * s, -1j * s  # i (|m><n| - |n><m|) / sqrt 2
+    return sp.csr_matrix(u)
+
+
+def _engine(rng, flavor, n_modes, fock_dim=None):
+    if flavor == "bosonic":
+        return oracle.DenseBosonicEngine(random_bosonic_model(rng, n_modes, 2 * n_modes + 1),
+                                         fock_dim=fock_dim)
+    return oracle.DenseFermionicEngine(random_fermionic_model(rng, n_modes))
+
+
+class TestRealGenerator:
+    """The rows m <= n of S, on the real coordinates of transposition-closed unions."""
+
+    @pytest.mark.parametrize("flavor,n_modes,fock_dim", [
+        *(("bosonic", n, d) for n in (1, 2) for d in (4, 5, 6)),
+        *(("fermionic", n, None) for n in (1, 2, 3)),
+    ])
+    def test_dense_and_operator_match_reference(self, rng, flavor, n_modes, fock_dim):
+        engine = _engine(rng, flavor, n_modes, fock_dim)
+        half = engine._assemble_superoperator()
+        sup = engine.superoperator()
+        basis = _hermitian_basis(engine.dim)
+        ref = (basis.conj().T @ sup @ basis).toarray()
+        unions = oracle._sectors(half, swap=True)
+        assert np.array_equal(np.sort(np.concatenate(unions)), np.arange(engine.dim ** 2))
+        for idx in unions:
+            gen = oracle._RealGenerator(half, idx)
+            order = np.concatenate([gen.diag, gen.upper, gen.lower])
+            assert np.array_equal(np.sort(order), idx)
+            block = ref[np.ix_(order, order)]
+            tol = 1e-14 * np.max(np.abs(sup.data))
+            real = gen.dense()
+            assert real.dtype == np.float64
+            assert np.max(np.abs(real - block)) <= tol
+            op, eye = gen.operator(), np.eye(idx.size)
+            assert np.max(np.abs(op.matmat(eye) - block.real)) <= tol
+            assert np.max(np.abs(op.rmatmat(eye) - block.real.T)) <= tol
+            assert gen.trace() == pytest.approx(np.trace(block.real), rel=1e-13, abs=tol)
+
+    @pytest.mark.parametrize("build", [
+        lambda rng: oracle.DenseBosonicEngine(random_bosonic_model(rng, 2), fock_dim=5),
+        lambda rng: oracle.DenseBosonicEngine(_squeezing_only_model(), fock_dim=12),
+        lambda rng: oracle.DenseFermionicEngine(_dark_third_mode_model(rng)),
+    ], ids=["bosonic", "squeezing_only", "fermionic_dark"])
+    def test_half_rows_give_the_unions_of_the_whole_matrix(self, rng, build):
+        engine = build(rng)
+        half = engine._assemble_superoperator()
+        m, n = np.divmod(half.tocoo().row, engine.dim)
+        assert np.all(m <= n)
+        got = oracle._sectors(half, swap=True)
+        ref = oracle._sectors(engine.superoperator(), swap=True)
+        assert sorted(map(tuple, got)) == sorted(map(tuple, ref))
+
+    @pytest.mark.parametrize("perturbation,columns", [(1e-19, 1), (1e-6, 2)])
+    @pytest.mark.parametrize("method", ["expm", "krylov"])
+    def test_anti_hermitian_part_below_the_floor_is_zero(self, rng, monkeypatch, method,
+                                                         perturbation, columns):
+        engine = oracle.DenseBosonicEngine(random_bosonic_model(rng, 1), fock_dim=6)
+        # |0><2| lies in the occupied even sector; the diagonal state stores 1e-19 there exactly
+        rho0 = oracle.fock_thermal(0.3, 6)
+        rho0[0, 2] = perturbation
+        shapes = []
+        monkeypatch.setattr(oracle, "expm_multiply",
+                            lambda op, b, **k: shapes.append(b.shape) or expm_multiply(op, b, **k))
+        times = np.linspace(0.0, 1.0, 4)
+        got = engine.evolve(rho0, times, method=method)
+        if method == "krylov":
+            assert [1 if len(shape) == 1 else shape[1] for shape in shapes] == [columns]
+        hermitian = [np.array_equal(rho, rho.conj().T) for rho in got[1:]]
+        assert hermitian == [columns == 1] * (times.size - 1)
+        dense = engine.superoperator().toarray()
+        for t, rho in zip(times, got):
+            ref = (expm(dense * t) @ rho0.reshape(-1)).reshape(engine.dim, engine.dim)
+            assert np.max(np.abs(rho - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestDenseFermionicEngine:
