@@ -12,18 +12,19 @@ generator maps Hermitian operators to Hermitian operators: its sparse
 superoperator S on row-major vectorized states is fixed by its rows m <= n
 (S[pi j, pi k] = conj S[j, k] for the transposition pi: |m><n| -> |n><m|),
 and on an orthonormal basis of Hermitian matrices it is a real matrix R
-(Gorini, Kossakowski & Sudarshan, J. Math. Phys. 17:821, 1976). Evolution
-assembles only those half rows. S is block diagonal up to a permutation (a
-quadratic Hamiltonian with linear channels never changes the parity of
-m + n in |m><n|; the Jordan-Wigner parities for fermions), and evolution
-touches only the unions of its invariant sectors, closed under pi, that the
-initial state occupies: with ``scipy.sparse.linalg.expm_multiply`` on R in
-operator form at any dimension, or for small dimensions one dense real
+(Gorini, Kossakowski & Sudarshan, J. Math. Phys. 17:821, 1976). S is
+block diagonal up to a permutation (a quadratic Hamiltonian with linear
+channels never changes the parity of m + n in |m><n|; the Jordan-Wigner
+parities for fermions). Evolution finds the unions of its invariant sectors,
+closed under pi, from the Kronecker factors of S, assembles only the rows
+m <= n of those that the initial state occupies, straight into CSR order,
+and propagates there: by Arnoldi steps on R in operator form with Expokit's
+error estimate at any dimension, or for small dimensions by one dense real
 exponential of R per union. Weight below the rounding floor
 dim * eps * ||rho0||, in a union or in the anti-Hermitian part of rho0,
 stays exactly zero. Moments are read as traces
-Tr(a rho) = sum_ij a_ij rho_ji over the stored entries of a, in O(nnz(a)),
-with no matrix product formed.
+Tr(a rho) = sum_ij a_ij rho_ji over the stored entries of a, kept once per
+engine, in O(nnz(a)), with no matrix product formed.
 """
 
 from __future__ import annotations
@@ -34,11 +35,10 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
-from scipy.sparse.linalg import LinearOperator, expm_multiply
 
 from . import lyapunov
 from ._util import antisymmetrize, max_abs, require_finite, symmetrize
-from .errors import DomainError, StructuralError, TruncationError
+from .errors import DomainError, NumericalError, StructuralError, TruncationError
 from .model import BOSONIC, FERMIONIC, GeneralizedLindbladModel, require_valid
 
 _DENSE_CUTOFF = 64          # below this dimension plain ndarrays beat sparse
@@ -46,6 +46,18 @@ _SUPEROP_CUTOFF = 32        # largest dimension for dense superoperator exponent
 _MAX_DENSE_DIM = 4096
 _TRUNCATION_THRESHOLD = 1e-8  # largest top-two Fock level population check_truncation allows
 _CHECK_SAMPLES = 4          # random states per preservation check
+# Arnoldi basis vectors per step. On 18 two-mode fock_dim 16 cooling models
+# over t = 0.5, 28 took one step (29 products) on every one, while 20 took two
+# on all and 22-25 on some (42-52 products); over t = 5, 20-30 took 203-252
+# products and the same time to within run-to-run noise, 40-60 fewer
+# products but more time, as the orthogonalization grows as the square of the
+# size.
+_KRYLOV_DIM = 28
+_KRYLOV_TOL = 1e-15         # local error per unit time, relative to ||rho0||
+# Largest step times ||H||_1 tried: accepted steps reach 7-28 at 20-28
+# vectors, and exp(100) is far from overflow.
+_STEP_REACH = 100.0
+_MAX_REJECTIONS = 10
 
 
 def _destroy(dim: int) -> np.ndarray:
@@ -97,79 +109,102 @@ def _quadratic(m, left, right, zero):
 
 
 def _triplets(op) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row indices, column indices and values of the nonzeros of an operator."""
-    coo = sp.coo_matrix(op)
-    return coo.row.astype(np.int32, copy=False), coo.col.astype(np.int32, copy=False), coo.data
+    """Row indices, column indices and values of the stored entries of an operator."""
+    if sp.issparse(op):
+        op = op.tocoo()
+        return op.row.astype(np.intp), op.col.astype(np.intp), op.data
+    row, col = np.nonzero(op)
+    return row, col, op[row, col]
 
 
-def _kron_sum(terms, d: int) -> sp.csr_matrix:
-    """CSR matrix of the rows m <= n of the sum of ``w * kron(a, b)`` over d x d factors.
+def _kron_sum(terms, d: int, rows: np.ndarray, local: np.ndarray | None = None) -> sp.csr_matrix:
+    """CSR matrix of the rows ``rows`` of the sum of ``kron(a, b)`` over pairs of d x d CSR factors.
 
-    The factors are given as triplets. Row m * d + n of kron(a, b) pairs row
-    m of a with row n of b, so each term keeps its entries with
-    a_row <= b_row, writes them into one coordinate buffer sized in advance,
-    and a single CSR conversion sums the duplicates. The rows m > n stay
-    empty: for a generator that preserves Hermiticity they are the mirror
-    of the others (see ``_mirror``).
+    Output row i is the vectorized index rows[i] = m * d + n, and row m * d + n
+    of kron(a, b) is a[m, :] kron b[n, :]. So every row is a run of segments,
+    one per term, whose lengths are products of the factors' row lengths: the
+    row pointers are counted in advance and the entries generated in CSR
+    order, with no coordinate sort. An entry that two terms share is stored
+    twice; products and ``toarray`` sum it. ``local``, when given, maps the
+    columns into a set that holds every column of these rows (-1 elsewhere).
+    Indices are int32: d * d <= _MAX_DENSE_DIM ** 2 < 2 ** 31.
     """
-    keeps = [np.less_equal.outer(a_row, b_row) for _, (a_row, _, _), (b_row, _, _) in terms]
-    counts = [int(np.count_nonzero(keep)) for keep in keeps]
-    rows = np.empty(sum(counts), dtype=np.int32)     # d * d <= _MAX_DENSE_DIM ** 2 < 2 ** 31
-    cols = np.empty(sum(counts), dtype=np.int32)
-    data = np.empty(sum(counts), dtype=complex)
-    start = 0
-    for keep, count, (w, (a_row, a_col, a_val), (b_row, b_col, b_val)) in zip(keeps, counts, terms):
-        stop = start + count
-        rows[start:stop] = np.add.outer(a_row * d, b_row)[keep]
-        cols[start:stop] = np.add.outer(a_col * d, b_col)[keep]
-        data[start:stop] = np.multiply.outer(w * a_val, b_val)[keep]
-        start = stop
-    return sp.coo_matrix((data, (rows, cols)), shape=(d * d, d * d)).tocsr()
+    m, n = np.divmod(rows, d)
+    # row pointers of every term's factors into their concatenated entries, one row per index
+    left, right = zip(*terms)
+    a_ptr = np.array([a.indptr for a in left], dtype=np.intp)
+    b_ptr = np.array([b.indptr for b in right], dtype=np.intp)
+    a_ptr = (a_ptr + np.cumsum([0] + [a.nnz for a in left[:-1]])[:, None]).T
+    b_ptr = (b_ptr + np.cumsum([0] + [b.nnz for b in right[:-1]])[:, None]).T
+    # the segments, row by row and term by term
+    a_first, b_first = a_ptr[m].ravel(), b_ptr[n].ravel()
+    b_len = b_ptr[n + 1].ravel() - b_first
+    counts = (a_ptr[m + 1].ravel() - a_first) * b_len
+    indptr = np.zeros(rows.size + 1, dtype=np.int32)
+    np.cumsum(counts.reshape(rows.size, len(terms)).sum(axis=1), out=indptr[1:])
+    full = np.flatnonzero(counts)
+    starts = np.cumsum(counts[full]) - counts[full]
+    # the segment and the offset in it of every entry
+    seg = np.zeros(indptr[-1], dtype=np.intp)
+    seg[starts[1:]] = 1
+    np.cumsum(seg, out=seg)
+    a_idx, b_idx = np.divmod(np.arange(indptr[-1]) - starts[seg], b_len[full][seg])
+    a_idx += a_first[full][seg]
+    b_idx += b_first[full][seg]
+    cols = np.take(np.concatenate([a.indices for a in left]) * d, a_idx)
+    cols += np.take(np.concatenate([b.indices for b in right]), b_idx)
+    data = np.take(np.concatenate([a.data for a in left]), a_idx)
+    data *= np.take(np.concatenate([b.data for b in right]), b_idx)
+    width = d * d
+    if local is not None:
+        cols, width = local[cols], int(local.max()) + 1
+    return sp.csr_matrix((data, cols.astype(np.int32, copy=False), indptr),
+                         shape=(rows.size, width))
 
 
-def _transposition(dim: int) -> np.ndarray:
-    """Index of |n><m| in the row-major vectorized states, for each index of |m><n|."""
-    return np.arange(dim * dim).reshape(dim, dim).T.reshape(-1)
-
-
-def _mirror(half: sp.csr_matrix) -> sp.csr_matrix:
-    """The whole superoperator S from its rows m <= n.
-
-    S maps Hermitian operators to Hermitian operators, so with pi the
-    transposition |m><n| -> |n><m| it satisfies S[pi j, pi k] = conj S[j, k]:
-    the rows m > n are the conjugated, transposed rows m < n.
-    """
-    swap = _transposition(math.isqrt(half.shape[0]))
-    coo = half.tocoo()
-    strict = swap[coo.row] > coo.row
-    return sp.csr_matrix((np.concatenate([coo.data, coo.data[strict].conj()]),
-                          (np.concatenate([coo.row, swap[coo.row[strict]]]),
-                           np.concatenate([coo.col, swap[coo.col[strict]]]))),
-                         shape=half.shape)
-
-
-def _sectors(mat: sp.csr_matrix, swap: bool = False) -> list[np.ndarray]:
-    """Sorted index arrays of the weakly connected components of the pattern of ``mat``.
-
-    The graph is built from ``indptr``/``indices`` with unit weights, so no
-    stored entry is lost whatever its value. ``mat`` has no entry between two
-    components, so its exponential is the direct sum of theirs. With
-    ``swap``, ``mat`` acts on row-major vectorized states and every |m><n|
-    is also joined to |n><m|: each component is then a smallest union of
-    sectors closed under that transposition. The rows m <= n of a
-    superoperator that preserves Hermiticity give the same unions as the
-    whole matrix, since its rows m > n are their transposed mirror.
-    """
+def _components(size: int, rows: np.ndarray, cols: np.ndarray) -> tuple[int, np.ndarray]:
+    """Count and labels of the weakly connected components of the edges rows[i] -> cols[i]."""
     # imported here: loading csgraph costs every `import glme` about 25 ms and 1 MB
     from scipy.sparse.csgraph import connected_components
 
-    pattern = sp.csr_matrix((np.ones(mat.indices.size), mat.indices, mat.indptr), shape=mat.shape)
-    if swap:
-        size = mat.shape[0]
-        pattern = pattern + sp.csr_matrix((np.ones(size), _transposition(math.isqrt(size)),
-                                           np.arange(size + 1)), shape=mat.shape)
-    count, labels = connected_components(pattern, directed=True, connection="weak")
-    return [np.flatnonzero(labels == c) for c in range(count)]
+    graph = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(size, size))
+    return connected_components(graph, directed=True, connection="weak")
+
+
+def _pattern(op: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column index of every stored entry of a CSR matrix."""
+    return np.repeat(np.arange(op.shape[0]), np.diff(op.indptr)), op.indices
+
+
+def _union_labels(terms, d: int) -> np.ndarray:
+    """Label of each index |m><n|: its smallest union of sectors closed under transposition.
+
+    ``terms`` are the factors of S (``_DenseEngine._superoperator_terms``),
+    the Kronecker sum G kron I + I kron G'^T first. The sectors are the
+    weakly connected components of the pattern of S, every stored entry an
+    edge whatever its value, so S has no entry between two of them and its
+    exponential is the direct sum of theirs. Within one component of G's
+    pattern for m and one of G'^T's for n, the Kronecker sum alone joins
+    every |m><n| (a Cartesian product of connected graphs is connected), so
+    the graph reduces to one node per pair of components. Each other term
+    a kron b joins the pairs that the entries of a and of b join, and the
+    transposition joins (component of m, of n) to (component of n, of m).
+    """
+    (g, _), (_, g_prime_t) = terms[:2]
+    n_left, left = _components(d, *_pattern(g))
+    n_right, right = _components(d, *_pattern(g_prime_t))
+    pairs = np.unique(left * n_right + right)
+    pl, pr = np.divmod(pairs, n_right)
+    src, dst = [np.add.outer(pl * n_right, pr).ravel()], [np.add.outer(pr, pl * n_right).ravel()]
+    for a, b in terms[2:]:
+        rows, cols = _pattern(a)
+        a_from, a_to = np.divmod(np.unique(left[rows] * n_left + left[cols]), n_left)
+        rows, cols = _pattern(b)
+        b_from, b_to = np.divmod(np.unique(right[rows] * n_right + right[cols]), n_right)
+        src.append(np.add.outer(a_from * n_right, b_from).ravel())
+        dst.append(np.add.outer(a_to * n_right, b_to).ravel())
+    _, coarse = _components(n_left * n_right, np.concatenate(src), np.concatenate(dst))
+    return coarse[np.add.outer(left * n_right, right).ravel()]
 
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -185,30 +220,29 @@ class _RealGenerator:
     order: U^dag vec(rho) for a unitary U that pairs only |m><n| with
     |n><m|, whose columns are an orthonormal basis of Hermitian matrices.
     There the generator is the real matrix R = U^dag S U (Gorini, Kossakowski
-    & Sudarshan, J. Math. Phys. 17:821, 1976), fixed by the rows m <= n of S.
-    Those rows are kept as H' = D_r H D_c in the coordinate order, with D_r
+    & Sudarshan, J. Math. Phys. 17:821, 1976), fixed by the rows m <= n of S,
+    since S[pi j, pi k] = conj S[j, k] for the transposition pi. Only those
+    rows are assembled, as H' = D_r H D_c in the coordinate order, with D_r
     sqrt(2) on the rows m < n and D_c 1/sqrt(2) on the columns m != n (1
     elsewhere), so that R c = Re(Q H' W c) with W c = [z, x + iy, x - iy]
     and Q reading the real part of every row and the imaginary part of the
     rows m < n: slices around one complex CSR product.
     """
 
-    def __init__(self, half: sp.csr_matrix, idx: np.ndarray):
-        dim = math.isqrt(half.shape[0])
+    def __init__(self, terms, dim: int, idx: np.ndarray):
         m, n = np.divmod(idx, dim)
         self.diag, self.upper, self.lower = idx[m == n], idx[m < n], (n * dim + m)[m < n]
         self.n_diag = self.diag.size
         self.n_rows = self.n_diag + self.upper.size     # the rows m <= n
         self.size = idx.size
-        rows = half[np.concatenate([self.diag, self.upper])]   # their entries lie in the set
-        local = np.empty(half.shape[1], dtype=np.int32)
+        local = np.full(dim * dim, -1, dtype=np.int32)
         local[np.concatenate([self.diag, self.upper, self.lower])] = np.arange(self.size)
-        cols = local[rows.indices]
-        scale = np.where(np.repeat(np.arange(self.n_rows), np.diff(rows.indptr)) < self.n_diag,
-                         1.0, math.sqrt(2.0))
-        scale *= np.where(cols < self.n_diag, 1.0, _SQRT_HALF)
-        self.rows = sp.csr_matrix((rows.data * scale, cols, rows.indptr),
-                                  shape=(self.n_rows, self.size))
+        rows = _kron_sum(terms, dim, np.concatenate([self.diag, self.upper]), local)
+        split = rows.indptr[self.n_diag]
+        diag_rows, upper_rows = rows.data[:split], rows.data[split:]
+        diag_rows[rows.indices[:split] >= self.n_diag] *= _SQRT_HALF
+        upper_rows[rows.indices[split:] < self.n_diag] *= math.sqrt(2.0)
+        self.rows = rows
 
     def coords(self, vec: np.ndarray) -> np.ndarray:
         """U^dag vec(rho).
@@ -240,49 +274,22 @@ class _RealGenerator:
                             axis=1)
         return np.concatenate([hw.real, hw[nd:].imag])
 
-    def trace(self) -> float:
-        """Tr R = Tr S on the set."""
-        diag = self.rows.diagonal().real
-        return float(diag[:self.n_diag].sum() + 2.0 * diag[self.n_diag:].sum())
-
-    def operator(self) -> LinearOperator:
-        """R as a real LinearOperator, one complex CSR product with the rows per application.
-
-        The adjoint products of the norm estimates use the transposed rows:
-        R^T c = Re(W^T H'^T Q^T c) with Q^T c = [z, x - iy] and, for u split
-        like the set into diagonal, upper and lower parts,
-        W^T u = [u_diag, u_upper + u_lower, i(u_upper - u_lower)].
-        """
-        nd, nr, rows, adjoint_rows = self.n_diag, self.n_rows, self.rows, self.rows.T
-
-        def forward(c):
-            w = np.empty(c.shape, dtype=complex)
-            w[:nd] = c[:nd]
-            w.real[nd:nr] = w.real[nr:] = c[nd:nr]
-            w.imag[nd:nr] = c[nr:]
-            np.negative(c[nr:], out=w.imag[nr:])
-            out = rows @ w
-            return np.concatenate([out.real, out[nd:].imag])
-
-        def adjoint(c):
-            v = np.empty((nr,) + c.shape[1:], dtype=complex)
-            v[:nd] = c[:nd]
-            v.real[nd:] = c[nd:nr]
-            np.negative(c[nr:], out=v.imag[nd:])
-            u = adjoint_rows @ v
-            return np.concatenate([u[:nd].real, u[nd:nr].real + u[nr:].real,
-                                   u[nr:].imag - u[nd:nr].imag])
-
-        return LinearOperator((self.size, self.size), matvec=forward, rmatvec=adjoint,
-                              matmat=forward, rmatmat=adjoint, dtype=float)
+    def product(self, c: np.ndarray) -> np.ndarray:
+        """R c for a real vector c, or for each real column of c: one complex CSR product."""
+        nd, nr = self.n_diag, self.n_rows
+        w = np.empty(c.shape, dtype=complex)
+        w[:nd] = c[:nd]
+        w.real[nd:nr] = w.real[nr:] = c[nd:nr]
+        w.imag[nd:nr] = c[nr:]
+        np.negative(c[nr:], out=w.imag[nr:])
+        out = self.rows @ w
+        return np.concatenate([out.real, out[nd:].imag])
 
 
-def _trace_product(a, rho: np.ndarray) -> complex:
-    """Tr(a rho) = sum_ij a_ij rho_ji over the stored entries of sparse or dense ``a``."""
-    if sp.issparse(a):
-        a = a.tocoo()
-        return complex(a.data @ rho[a.col, a.row])
-    return complex(np.sum(a * rho.T))
+def _trace_product(a: tuple, rho: np.ndarray) -> complex:
+    """Tr(a rho) = sum_ij a_ij rho_ji over the stored entries of ``a``, given as its triplets."""
+    row, col, val = a
+    return complex(val @ rho[col, row])
 
 
 def _hermitian_gamma(model: GeneralizedLindbladModel) -> np.ndarray:
@@ -365,49 +372,49 @@ class _DenseEngine:
     def superoperator(self) -> sp.csr_matrix:
         """CSR matrix of the generator on row-major vectorized states, built once.
 
-        The rows m <= n are assembled and the others completed as their mirror.
+        An entry that two Kronecker terms share is stored twice (``_kron_sum``).
         """
         if self._superop is None:
-            self._superop = _mirror(self._assemble_superoperator())
+            d = self.dim
+            self._superop = _kron_sum(self._superoperator_terms(), d, np.arange(d * d))
         return self._superop
 
-    def _assemble_superoperator(self) -> sp.csr_matrix:
-        """Rows m <= n of S = G kron I + I kron G'^T + sum_{mu nu} C[mu, nu] b_mu kron conj(b_nu).
+    def _superoperator_terms(self) -> list:
+        """CSR factors (a, b) of S = sum kron(a, b), the Kronecker sum first.
 
-        This is vec(A rho B) = (A kron B^T) vec(rho) applied to the master
-        equation, with G = -iH - K/2, G' = iH - K/2, the basis operators b,
-        and C = E^T Gamma conj(E) for E = ``basis_rows``. The rows m > n are
-        left empty; they are the mirror of these (``_mirror``).
+        S = G kron I + I kron G'^T + sum_mu b_mu kron D_mu with
+        D_mu = sum_nu C[mu, nu] conj(b_nu) is vec(A rho B) = (A kron B^T) vec(rho)
+        applied to the master equation, with G = -iH - K/2, G' = iH - K/2, the
+        basis operators b, and C = E^T Gamma conj(E) for E = ``basis_rows``.
+        The factors are d x d.
         """
-        ident = _triplets(sp.identity(self.dim, dtype=complex))
-        terms = [(1.0, _triplets(self._g), ident), (1.0, ident, _triplets(self._g_prime.T))]
-        basis = [_triplets(b) for b in self.basis_ops]
+        ident = sp.identity(self.dim, dtype=complex, format="csr")
+        terms = [(sp.csr_matrix(self._g), ident), (ident, sp.csr_matrix(self._g_prime.T))]
+        conj = [b.conj() for b in self.basis_ops]
         coeffs = self.basis_rows.T @ self.gamma @ self.basis_rows.conj()
-        for mu, b_mu in enumerate(basis):
-            for nu, (row, col, val) in enumerate(basis):
-                if coeffs[mu, nu] != 0:
-                    terms.append((coeffs[mu, nu], b_mu, (row, col, val.conj())))
-        return _kron_sum(terms, self.dim)
+        for b_mu, row in zip(self.basis_ops, coeffs):
+            if np.any(row != 0):
+                terms.append((sp.csr_matrix(b_mu), sp.csr_matrix(_combine(row, conj, self._zero))))
+        return terms
 
     def evolve(self, rho0: np.ndarray, times, method: str = "krylov") -> list[np.ndarray]:
         """Propagate the master equation through the grid; first time is rho0.
 
-        Both methods assemble the rows m <= n of the superoperator S and
-        evolve only the unions of its invariant sectors, closed under
-        |m><n| -> |n><m| (``_sectors``), that rho0 occupies. A union where
-        the 2-norm of rho0 is at most the rounding floor dim * eps * ||rho0||,
-        below the rounding error of forming such a state by matrix products,
-        counts as empty and is zero in every returned state. On each union
-        the generator is the real matrix R of ``_RealGenerator``, and rho0 is
-        two real columns of coordinates: its Hermitian part and its
-        anti-Hermitian part (rho0 - rho0^dag) / 2i. The second column is
-        evolved only when its norm is above the same floor and is otherwise
-        exactly zero, so a Hermitian rho0 gives exactly Hermitian states.
-        "krylov" applies ``expm_multiply`` to R in operator form on all
-        occupied unions at once, one complex sparse product with the half
-        rows per application, at any dimension. "expm", up to dimension 32,
-        takes one dense real exponential of R per union and distinct step.
-        Every returned state is its own array; the first is rho0.
+        Both methods evolve only the unions of invariant sectors of the
+        superoperator S, closed under |m><n| -> |n><m| (``_union_labels``),
+        that rho0 occupies. A union where the 2-norm of rho0 is at most the
+        rounding floor dim * eps * ||rho0||, below the rounding error of
+        forming such a state by matrix products, counts as empty and is zero
+        in every returned state. On each union only the rows m <= n of S are
+        assembled, as the real matrix R of ``_RealGenerator``, and rho0 is two
+        real columns of coordinates: its Hermitian part and its anti-Hermitian
+        part (rho0 - rho0^dag) / 2i. The second column is evolved only when
+        its norm is above the same floor and is otherwise exactly zero, so a
+        Hermitian rho0 gives exactly Hermitian states. "krylov" takes Arnoldi
+        steps on all occupied unions at once (``_expv``), one complex sparse
+        product with the rows per basis vector, at any dimension. "expm", up
+        to dimension 32, takes one dense real exponential of R per union and
+        distinct step. Every returned state is its own array; the first is rho0.
         """
         times = lyapunov.validate_times(times)
         rho0 = require_finite(np.asarray(rho0, dtype=complex), "rho0")
@@ -424,16 +431,20 @@ class _DenseEngine:
             run = _krylov_path
         else:
             raise StructuralError(f"unknown dense integration method {method!r}")
-        # The half rows live for this call only: at two modes and fock_dim 16
-        # they take 19 MB, which callers holding engines and their density
-        # matrices would otherwise keep as well.
-        half = self._assemble_superoperator()
+        # The assembled rows live for this call only: at two modes and fock_dim
+        # 16 they take about 10 MB per parity, which callers holding engines
+        # and their density matrices would otherwise keep as well.
+        terms = self._superoperator_terms()
+        labels = _union_labels(terms, self.dim)
         vec = rho0.reshape(-1)
         floor = self.dim * np.finfo(float).eps * np.linalg.norm(vec)
-        unions = [idx for idx in _sectors(half, swap=True) if np.linalg.norm(vec[idx]) > floor]
-        if method == "krylov" and unions:
-            unions = [np.sort(np.concatenate(unions))]
-        gens = [_RealGenerator(half, idx) for idx in unions]
+        scale = max_abs(vec) or 1.0     # the 2-norm of each union, with no square underflowing
+        occupied = scale * np.sqrt(np.bincount(labels, weights=np.abs(vec / scale) ** 2)) > floor
+        if method == "krylov":
+            unions = [np.flatnonzero(occupied[labels])] if occupied.any() else []
+        else:
+            unions = [np.flatnonzero(labels == c) for c in np.flatnonzero(occupied)]
+        gens = [_RealGenerator(terms, self.dim, idx) for idx in unions]
         coords = [gen.coords(vec) for gen in gens]
         anti = math.hypot(*(np.linalg.norm(c.imag) for c in coords), 0.0) > floor
         paths = [run(gen, np.column_stack([c.real, c.imag]) if anti else c.real, times)
@@ -461,22 +472,84 @@ def _expm_path(gen: _RealGenerator, coords: np.ndarray, times: np.ndarray) -> li
 
 
 def _krylov_path(gen: _RealGenerator, coords: np.ndarray, times: np.ndarray) -> list[np.ndarray]:
-    """Coordinates at times[1:], by ``expm_multiply`` on R in operator form.
+    """Coordinates at times[1:], by ``_expv`` on each real column."""
+    if coords.ndim == 1:
+        return _expv(gen.product, coords, times)
+    columns = [_expv(gen.product, c, times) for c in coords.T]
+    return [np.column_stack(states) for states in zip(*columns)]
 
-    A uniform grid takes one call over the whole interval; any other grid
-    one call per step.
+
+def _expv(product, vec: np.ndarray, times: np.ndarray) -> list[np.ndarray]:
+    """exp((t - times[0]) R) vec at times[1:], where ``product(c)`` is R c: Arnoldi steps.
+
+    Sidje's Expokit expv (ACM TOMS 24:130, 1998). A step from the vector w
+    builds an orthonormal basis V of the Krylov space of R and w, by
+    classical Gram-Schmidt with one reorthogonalization as products with the
+    stored basis, and the Hessenberg matrix H of R on it. With H augmented
+    for the corrected scheme, w(t + tau) = ||w|| V exp(tau H) e_1, and
+    Expokit's estimate of its local error must stay within
+    1.2 tau _KRYLOV_TOL ||vec||; a rejected step shrinks and costs no
+    product. Every grid time inside an accepted step is read from that step's
+    basis, so the steps do not depend on the grid between its ends. A next
+    basis vector of norm at most _KRYLOV_TOL is a breakdown: the space is
+    invariant to within the tolerance, and its exponential is taken to the end.
     """
-    op, trace = gen.operator(), gen.trace()
-    steps = lyapunov.grid_steps(times)
-    if steps.size > 1 and np.all(steps == steps[0]):
-        return list(expm_multiply(op, coords, start=0.0, stop=float(times[-1] - times[0]),
-                                  num=times.size, endpoint=True, traceA=trace)[1:])
-    path = []
-    for dt in steps:
-        coords = expm_multiply(op, coords, start=0.0, stop=float(dt), num=2,
-                               endpoint=True, traceA=trace)[-1]
-        path.append(coords)
-    return path
+    grid = times[1:] - times[0]
+    t_end = times[-1] - times[0]
+    beta = float(np.linalg.norm(vec))
+    tol = _KRYLOV_TOL * beta
+    m = min(_KRYLOV_DIM, vec.size)
+    basis = np.empty((m + 1, vec.size))
+    out = []
+    t_now, t_new = 0.0, math.inf
+    while len(out) < grid.size:
+        if beta == 0.0:
+            out += [np.zeros_like(vec) for _ in range(grid.size - len(out))]
+            break
+        hess = np.zeros((m + 2, m + 2))
+        basis[0] = vec / beta
+        for j in range(m):
+            p = product(basis[j])
+            for _ in range(2):
+                h = basis[:j + 1] @ p
+                p -= h @ basis[:j + 1]
+                hess[:j + 1, j] += h
+            s = np.linalg.norm(p)
+            if s <= _KRYLOV_TOL:
+                hess, keep, step = hess[:j + 1, :j + 1], j + 1, t_end - t_now
+                break
+            hess[j + 1, j] = s
+            basis[j + 1] = p / s
+        else:
+            hess[m + 1, m] = 1.0
+            keep = m + 1
+            av_norm = np.linalg.norm(product(basis[m]))
+            step = min(t_end - t_now, t_new, _STEP_REACH / np.linalg.norm(hess, 1))
+            for rejected in range(_MAX_REJECTIONS + 1):
+                flow = expm(step * hess)
+                phi1, phi2 = abs(beta * flow[m, 0]), abs(beta * flow[m + 1, 0] * av_norm)
+                if phi1 > 10.0 * phi2:
+                    err, xm = phi2, 1.0 / m
+                elif phi1 > phi2:
+                    err, xm = phi1 * phi2 / (phi1 - phi2), 1.0 / m
+                else:
+                    err, xm = phi1, 1.0 / (m - 1)
+                if err <= 1.2 * step * tol:
+                    break
+                if not math.isfinite(err) or rejected == _MAX_REJECTIONS:
+                    raise NumericalError(
+                        f"Krylov step {step:.3e} has error estimate {err:.3e} above "
+                        f"{1.2 * step * tol:.3e} after {rejected} rejections", residual=err)
+                step *= 0.9 * (step * tol / err) ** xm
+            t_new = 0.9 * step * (step * tol / max(err, np.finfo(float).tiny)) ** xm
+        last = step == t_end - t_now
+        end = t_end if last else t_now + step
+        while len(out) < grid.size and grid[len(out)] <= end:
+            out.append(beta * (expm((grid[len(out)] - t_now) * hess)[:keep, 0] @ basis[:keep]))
+        if not last:
+            vec = beta * (flow[:keep, 0] @ basis[:keep])
+            beta, t_now = float(np.linalg.norm(vec)), end
+    return out
 
 
 class DenseBosonicEngine(_DenseEngine):
@@ -531,16 +604,21 @@ class DenseBosonicEngine(_DenseEngine):
         return rho
 
     @cached_property
+    def _x_triplets(self) -> list:
+        """Triplets of the x_j."""
+        return [_triplets(x) for x in self.x_ops]
+
+    @cached_property
     def _anticommutators(self) -> dict:
-        """{x_j, x_k} for j <= k, keyed by (j, k)."""
+        """Triplets of {x_j, x_k} for j <= k, keyed by (j, k)."""
         x = self.x_ops
-        return {(j, k): x[j] @ x[k] + x[k] @ x[j]
+        return {(j, k): _triplets(x[j] @ x[k] + x[k] @ x[j])
                 for j in range(len(x)) for k in range(j, len(x))}
 
     def _moments(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Tr(x_j rho) and Tr({x_j, x_k} rho), the parts of the moments linear in rho."""
         n2 = 2 * self.n_modes
-        first = np.array([_trace_product(x, rho).real for x in self.x_ops])
+        first = np.array([_trace_product(x, rho).real for x in self._x_triplets])
         second = np.zeros((n2, n2))
         for (j, k), anti in self._anticommutators.items():
             second[j, k] = second[k, j] = _trace_product(anti, rho).real
@@ -634,9 +712,9 @@ class DenseFermionicEngine(_DenseEngine):
 
     @cached_property
     def _commutators(self) -> dict:
-        """[w_j, w_k] for j < k, keyed by (j, k)."""
+        """Triplets of [w_j, w_k] for j < k, keyed by (j, k)."""
         w = self.w_ops
-        return {(j, k): w[j] @ w[k] - w[k] @ w[j]
+        return {(j, k): _triplets(w[j] @ w[k] - w[k] @ w[j])
                 for j in range(len(w)) for k in range(j + 1, len(w))}
 
     def extract_sigma(self, rho: np.ndarray) -> np.ndarray:
@@ -708,9 +786,14 @@ def dissipator_linearity_check(l_j: np.ndarray, l_k: np.ndarray,
 
 def adjoint_consistency_check(engine: _DenseEngine, observable: np.ndarray,
                               state: np.ndarray) -> float:
-    """|Tr(O L rho) - Tr((L^dag O) rho)| for the engine's generator."""
-    forward = np.trace(observable @ engine.liouvillian(state))
-    backward = np.trace(engine.liouvillian_adjoint(observable) @ state)
+    """|Tr(O L rho) - Tr((L^dag O) rho)| for the engine's generator.
+
+    Each trace is the elementwise sum Tr(A B) = sum_ij a_ij b_ji, with no
+    matrix product formed.
+    """
+    observable, state = _dense(observable), _dense(state)
+    forward = np.sum(observable * engine.liouvillian(state).T)
+    backward = np.sum(engine.liouvillian_adjoint(observable) * state.T)
     return float(abs(forward - backward))
 
 

@@ -65,8 +65,15 @@ class TestColdStart:
         code = "import json, sys\nimport glme\nglme.oracle\n" + _REPORT
         loaded = _fresh(code)
         assert "scipy.sparse" in loaded
-        # the sector and union grouping imports scipy.sparse.csgraph at its first call
+        # the union grouping imports scipy.sparse.csgraph, and with it
+        # scipy.sparse.linalg, at its first call in `evolve`
         assert [m for m in loaded if m.startswith("scipy.sparse.csgraph")] == []
+        assert [m for m in loaded if m.startswith("scipy.sparse.linalg")] == []
+
+    def test_oracle_check_loads_no_sparse_linalg(self, model_file):
+        loaded = _fresh(_CLI_PROBE, "oracle-check", "--model", model_file, "--fock-dim", "8")
+        assert "scipy.sparse" in loaded
+        assert [m for m in loaded if m.startswith("scipy.sparse.linalg")] == []
 
     def test_validate_loads_no_scipy(self, model_file):
         assert _fresh(_CLI_PROBE, "validate", model_file) == []

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,7 +8,13 @@ from scipy.sparse.linalg import expm_multiply
 
 import glme
 from glme import bosonic, fermionic, model, oracle
-from glme.errors import DomainError, PositivityError, StructuralError, TruncationError
+from glme.errors import (
+    DomainError,
+    NumericalError,
+    PositivityError,
+    StructuralError,
+    TruncationError,
+)
 
 from conftest import (
     damped_oscillator_model,
@@ -262,6 +270,15 @@ class TestMomentReadout:
         assert np.max(np.abs(mean - mean_ref)) <= 1e-13
         assert np.max(np.abs(v - (second - 2.0 * np.outer(mean_ref, mean_ref)))) <= 1e-13
 
+    def test_readout_triplets_built_once(self, rng, monkeypatch):
+        engine = oracle.DenseBosonicEngine(random_bosonic_model(rng, 2), fock_dim=9)
+        engine.extract_mean_and_v(oracle.random_density(rng, engine.dim))
+        built = []
+        monkeypatch.setattr(oracle, "_triplets", lambda op: built.append(op) or (None,) * 3)
+        mean, v = engine.extract_mean_and_v(oracle.random_density(rng, engine.dim))
+        assert built == []
+        assert np.all(np.isfinite(v))
+
     def test_fermionic_sigma_matches_dense_traces(self, rng):
         engine = oracle.DenseFermionicEngine(random_fermionic_model(rng, 3))
         w = oracle.jordan_wigner_majoranas(3)
@@ -301,6 +318,49 @@ def _squeezing_only_model():
                                           gamma=np.zeros((1, 1), dtype=complex))
 
 
+def _matrix_unions(mat: sp.csr_matrix, swap: bool = False) -> list[np.ndarray]:
+    """Weakly connected components of the pattern of an assembled superoperator.
+
+    The reference for ``oracle._union_labels``: every stored entry is an
+    edge, and with ``swap`` every |m><n| is also joined to |n><m|.
+    """
+    from scipy.sparse.csgraph import connected_components
+
+    size = mat.shape[0]
+    dim = math.isqrt(size)
+    pattern = sp.csr_matrix((np.ones(mat.indices.size), mat.indices, mat.indptr), shape=mat.shape)
+    if swap:
+        transposed = np.arange(size).reshape(dim, dim).T.ravel()
+        pattern = pattern + sp.csr_matrix((np.ones(size), transposed, np.arange(size + 1)),
+                                          shape=mat.shape)
+    count, labels = connected_components(pattern, directed=True, connection="weak")
+    return [np.flatnonzero(labels == c) for c in range(count)]
+
+
+def _unions(engine) -> list[np.ndarray]:
+    labels = oracle._union_labels(engine._superoperator_terms(), engine.dim)
+    return [np.flatnonzero(labels == c) for c in range(labels.max() + 1)]
+
+
+def _counting_products(monkeypatch) -> list[int]:
+    """Sizes of the vectors the real generators are applied to."""
+    sizes = []
+    product = oracle._RealGenerator.product
+    monkeypatch.setattr(oracle._RealGenerator, "product",
+                        lambda gen, c: sizes.append(c.shape[0]) or product(gen, c))
+    return sizes
+
+
+def _counting_expv(monkeypatch) -> list[int]:
+    """Sizes of the vectors ``oracle._expv`` propagates, one per call."""
+    sizes = []
+    expv = oracle._expv
+    monkeypatch.setattr(oracle, "_expv",
+                        lambda product, vec, times: sizes.append(vec.size)
+                        or expv(product, vec, times))
+    return sizes
+
+
 def _counting_expm(monkeypatch) -> list[tuple[tuple[int, int], np.dtype]]:
     shapes = []
     monkeypatch.setattr(oracle, "expm", lambda m: shapes.append((m.shape, m.dtype)) or expm(m))
@@ -338,8 +398,9 @@ class TestSectorExponential:
     @_engines
     def test_matches_full_exponential(self, rng, build, sectors, unions, rho0_of, method="expm"):
         engine = build(rng)
-        assert len(oracle._sectors(engine.superoperator())) == sectors
-        assert len(oracle._sectors(engine.superoperator(), swap=True)) == unions
+        assert len(_matrix_unions(engine.superoperator())) == sectors
+        assert len(_matrix_unions(engine.superoperator(), swap=True)) == unions
+        assert len(_unions(engine)) == unions
         rho0 = rho0_of(rng, engine.dim)
         got = engine.evolve(rho0, self.times, method=method)
         ref = _full_exponential_evolution(engine, rho0, self.times)
@@ -354,9 +415,11 @@ class TestSectorExponential:
     def test_sectors_partition_the_states(self, rng):
         engine = oracle.DenseFermionicEngine(_dark_third_mode_model(rng))
         sup = engine.superoperator()
-        sectors = oracle._sectors(sup)
-        assert np.array_equal(np.sort(np.concatenate(sectors)), np.arange(engine.dim ** 2))
-        for idx in sectors:
+        d = engine.dim
+        labels = oracle._union_labels(engine._superoperator_terms(), d)
+        # closed under |m><n| -> |n><m|
+        assert np.array_equal(labels.reshape(d, d), labels.reshape(d, d).T)
+        for idx in _unions(engine):
             outside = np.setdiff1d(np.arange(engine.dim ** 2), idx)
             assert sup[idx][:, outside].nnz == 0
             assert sup[outside][:, idx].nnz == 0
@@ -395,14 +458,12 @@ class TestSectorExponential:
     def test_krylov_evolves_only_the_occupied_sector(self, rng, monkeypatch, fock_dim, times):
         engine = oracle.DenseBosonicEngine(random_bosonic_model(rng, 2, 5), fock_dim=fock_dim)
         rho0 = np.kron(oracle.fock_thermal(0.3, fock_dim), oracle.fock_squeezed_vacuum(0.2, fock_dim))
-        shapes = []
-        monkeypatch.setattr(oracle, "expm_multiply",
-                            lambda op, *a, **k: shapes.append(op.shape) or expm_multiply(op, *a, **k))
+        sizes = _counting_expv(monkeypatch)
         got = engine.evolve(rho0, times, method="krylov")
         # the states |m1 m2><n1 n2| with m1 + m2 + n1 + n2 even
         levels = np.add.outer(np.arange(fock_dim), np.arange(fock_dim)).reshape(-1)
         even = np.add.outer(levels, levels).reshape(-1) % 2 == 0
-        assert set(shapes) == {(even.sum(), even.sum())}
+        assert sizes == [even.sum()]
         full = engine.superoperator()
         vec, ref = rho0.reshape(-1), [rho0]
         for dt in np.diff(times):
@@ -421,6 +482,14 @@ class TestSectorExponential:
         assert len(rhos) == times.size
         assert all(np.all(rho == 0) for rho in rhos)
 
+    @pytest.mark.parametrize("method", ["expm", "krylov"])
+    def test_single_time_returns_rho0(self, rng, method):
+        engine = oracle.DenseBosonicEngine(random_bosonic_model(rng, 1), fock_dim=5)
+        rho0 = _off_diagonal_plus_density(rng, engine.dim)
+        rhos = engine.evolve(rho0, [0.5], method=method)
+        assert len(rhos) == 1
+        assert np.array_equal(rhos[0], rho0)
+
     def test_returned_states_do_not_alias(self, rng):
         engine = oracle.DenseBosonicEngine(random_bosonic_model(rng, 1), fock_dim=8)
         rhos = engine.evolve(oracle.random_density(rng, engine.dim), np.linspace(0.0, 1.0, 4),
@@ -432,16 +501,72 @@ class TestSectorExponential:
             for j in range(i):
                 assert not np.shares_memory(rhos[i], rhos[j])
 
-    @pytest.mark.parametrize("times,calls", [(np.linspace(0.0, 1.5, 4), 1),
-                                             (np.linspace(-1.0, 0.5, 4), 1),
-                                             (np.array([0.0, 0.2, 0.9, 1.5]), 3)])
-    def test_krylov_takes_one_interval_call_on_uniform_grid(self, rng, monkeypatch, times, calls):
-        engine = oracle.DenseBosonicEngine(random_bosonic_model(rng, 1), fock_dim=6)
-        counted = []
-        monkeypatch.setattr(oracle, "expm_multiply",
-                            lambda *a, **k: counted.append(k["num"]) or expm_multiply(*a, **k))
-        engine.evolve(engine.vacuum(), times, method="krylov")
-        assert len(counted) == calls
+    @pytest.mark.parametrize("times,steps", [(np.linspace(0.0, 1.0, 4), 1),
+                                             (np.array([0.0, 0.2, 0.25, 0.9, 1.0]), 1),
+                                             (np.linspace(-1.0, 0.5, 31), 2)])
+    def test_grid_points_inside_a_step_add_no_products(self, rng, monkeypatch, times, steps):
+        # the 36 coordinates of fock_dim 6 take one Arnoldi step to t = 1 here, two to t = 1.5
+        engine = oracle.DenseBosonicEngine(damped_oscillator_model(gamma=0.5, omega=2.0, nbar=0.2),
+                                           fock_dim=6)
+        rho0 = oracle.random_density(rng, engine.dim)
+        sizes = _counting_products(monkeypatch)
+        ends = engine.evolve(rho0, times[[0, -1]], method="krylov")
+        assert len(sizes) == steps * (oracle._KRYLOV_DIM + 1)
+        got = engine.evolve(rho0, times, method="krylov")
+        assert len(sizes) == 2 * steps * (oracle._KRYLOV_DIM + 1)
+        assert np.array_equal(got[-1], ends[-1])
+        ref = _full_exponential_evolution(engine, rho0, times)
+        for a, b in zip(got, ref, strict=True):
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+    @pytest.mark.parametrize("times", [np.linspace(0.0, 6.0, 4),
+                                       np.array([0.0, 0.1, 2.5, 2.6, 6.0])])
+    @pytest.mark.parametrize("rho0_of", [lambda rng, d: oracle.random_density(rng, d),
+                                         _off_diagonal_plus_density],
+                             ids=["hermitian", "non_hermitian"])
+    def test_krylov_steps_match_full_exponential(self, rng, monkeypatch, rho0_of, times):
+        # fock_dim 12 to t = 6 takes several Arnoldi steps
+        engine = oracle.DenseBosonicEngine(damped_oscillator_model(gamma=0.5, omega=2.0, nbar=0.2),
+                                           fock_dim=12)
+        rho0 = rho0_of(rng, engine.dim)
+        sizes = _counting_products(monkeypatch)
+        got = engine.evolve(rho0, times, method="krylov")
+        assert len(sizes) > 2 * (oracle._KRYLOV_DIM + 1)
+        ref = _full_exponential_evolution(engine, rho0, times)
+        for a, b in zip(got, ref, strict=True):
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 28, 40])
+    def test_expv_matches_expm_on_small_matrices(self, rng, n):
+        # up to n = 28 the Krylov space is the whole space: a breakdown at its last vector,
+        # after n products, and one step to the end
+        a = rng.standard_normal((n, n)) - 2.0 * np.eye(n)
+        vec = rng.standard_normal(n)
+        times = np.array([0.0, 0.3, 1.0, 2.5])
+        calls = []
+        got = oracle._expv(lambda c: calls.append(1) or a @ c, vec, times)
+        if n <= oracle._KRYLOV_DIM:
+            assert len(calls) == n
+        for t, state in zip(times[1:], got, strict=True):
+            ref = expm(a * t) @ vec
+            assert np.max(np.abs(state - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_vacuum_under_pure_loss_is_an_exact_breakdown(self, monkeypatch):
+        # R applied to the vacuum is exactly zero: one product, and the vacuum at every time
+        engine = oracle.DenseBosonicEngine(damped_oscillator_model(gamma=0.5, omega=2.0, nbar=0.0),
+                                           fock_dim=8)
+        sizes = _counting_products(monkeypatch)
+        rhos = engine.evolve(engine.vacuum(), [0.0, 1.0, 2.5, 40.0], method="krylov")
+        assert len(sizes) == 1
+        assert all(np.array_equal(rho, engine.vacuum()) for rho in rhos)
+
+    def test_step_beyond_the_rejection_limit_raises(self, rng, monkeypatch):
+        # the first trial step, at ||H||_1 tau = _STEP_REACH, is far beyond the tolerance
+        engine = oracle.DenseBosonicEngine(random_bosonic_model(rng, 1), fock_dim=12)
+        monkeypatch.setattr(oracle, "_MAX_REJECTIONS", 0)
+        with pytest.raises(NumericalError, match="error estimate") as info:
+            engine.evolve(oracle.random_density(rng, engine.dim), [0.0, 100.0], method="krylov")
+        assert info.value.residual > 0
 
 
 _ENGINES = {
@@ -539,14 +664,13 @@ class TestRealGenerator:
     ])
     def test_dense_and_operator_match_reference(self, rng, flavor, n_modes, fock_dim):
         engine = _engine(rng, flavor, n_modes, fock_dim)
-        half = engine._assemble_superoperator()
+        terms = engine._superoperator_terms()
         sup = engine.superoperator()
         basis = _hermitian_basis(engine.dim)
         ref = (basis.conj().T @ sup @ basis).toarray()
-        unions = oracle._sectors(half, swap=True)
-        assert np.array_equal(np.sort(np.concatenate(unions)), np.arange(engine.dim ** 2))
-        for idx in unions:
-            gen = oracle._RealGenerator(half, idx)
+        for idx in _unions(engine):
+            gen = oracle._RealGenerator(terms, engine.dim, idx)
+            assert gen.rows.shape == (gen.n_rows, idx.size)     # the rows m <= n only
             order = np.concatenate([gen.diag, gen.upper, gen.lower])
             assert np.array_equal(np.sort(order), idx)
             block = ref[np.ix_(order, order)]
@@ -554,23 +678,20 @@ class TestRealGenerator:
             real = gen.dense()
             assert real.dtype == np.float64
             assert np.max(np.abs(real - block)) <= tol
-            op, eye = gen.operator(), np.eye(idx.size)
-            assert np.max(np.abs(op.matmat(eye) - block.real)) <= tol
-            assert np.max(np.abs(op.rmatmat(eye) - block.real.T)) <= tol
-            assert gen.trace() == pytest.approx(np.trace(block.real), rel=1e-13, abs=tol)
+            assert np.max(np.abs(gen.product(np.eye(idx.size)) - block.real)) <= tol
 
     @pytest.mark.parametrize("build", [
         lambda rng: oracle.DenseBosonicEngine(random_bosonic_model(rng, 2), fock_dim=5),
         lambda rng: oracle.DenseBosonicEngine(_squeezing_only_model(), fock_dim=12),
         lambda rng: oracle.DenseFermionicEngine(_dark_third_mode_model(rng)),
-    ], ids=["bosonic", "squeezing_only", "fermionic_dark"])
-    def test_half_rows_give_the_unions_of_the_whole_matrix(self, rng, build):
+        # G = -i omega (n + 1/2) - K / 2 is diagonal: every level is its own component of G
+        lambda rng: oracle.DenseBosonicEngine(
+            damped_oscillator_model(gamma=0.5, omega=2.0, nbar=0.2), fock_dim=8),
+    ], ids=["bosonic", "squeezing_only", "fermionic_dark", "diagonal_g"])
+    def test_term_unions_match_the_whole_matrix(self, rng, build):
         engine = build(rng)
-        half = engine._assemble_superoperator()
-        m, n = np.divmod(half.tocoo().row, engine.dim)
-        assert np.all(m <= n)
-        got = oracle._sectors(half, swap=True)
-        ref = oracle._sectors(engine.superoperator(), swap=True)
+        got = _unions(engine)
+        ref = _matrix_unions(engine.superoperator(), swap=True)
         assert sorted(map(tuple, got)) == sorted(map(tuple, ref))
 
     @pytest.mark.parametrize("perturbation,columns", [(1e-19, 1), (1e-6, 2)])
@@ -581,13 +702,11 @@ class TestRealGenerator:
         # |0><2| lies in the occupied even sector; the diagonal state stores 1e-19 there exactly
         rho0 = oracle.fock_thermal(0.3, 6)
         rho0[0, 2] = perturbation
-        shapes = []
-        monkeypatch.setattr(oracle, "expm_multiply",
-                            lambda op, b, **k: shapes.append(b.shape) or expm_multiply(op, b, **k))
+        calls = _counting_expv(monkeypatch)
         times = np.linspace(0.0, 1.0, 4)
         got = engine.evolve(rho0, times, method=method)
         if method == "krylov":
-            assert [1 if len(shape) == 1 else shape[1] for shape in shapes] == [columns]
+            assert len(calls) == columns
         hermitian = [np.array_equal(rho, rho.conj().T) for rho in got[1:]]
         assert hermitian == [columns == 1] * (times.size - 1)
         dense = engine.superoperator().toarray()
@@ -653,6 +772,18 @@ class TestGeneratorChecks:
             obs = obs + obs.conj().T
             rho = oracle.random_density(rng, engine.dim)
             assert oracle.adjoint_consistency_check(engine, obs, rho) <= 1e-12
+
+    @pytest.mark.parametrize("fock_dim", [6, 9])   # dense (dim 36) and sparse (dim 81) storage
+    def test_adjoint_traces_match_matrix_products(self, rng, monkeypatch, fock_dim):
+        # a map that is not the adjoint gives an O(1) deviation: both ways of taking it agree
+        engine = oracle.DenseBosonicEngine(random_bosonic_model(rng, 2), fock_dim=fock_dim)
+        obs = oracle.random_density(rng, engine.dim)
+        obs = obs + obs.conj().T
+        rho = oracle.random_density(rng, engine.dim)
+        monkeypatch.setattr(engine, "liouvillian_adjoint", engine.liouvillian)
+        ref = abs(np.trace(obs @ engine.liouvillian(rho)) - np.trace(engine.liouvillian(obs) @ rho))
+        assert ref > 1e-3
+        assert oracle.adjoint_consistency_check(engine, obs, rho) == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("n_modes, fock_dim", [(1, 24), (2, 9)])
     def test_adjoint_reproduces_mean_drift(self, n_modes, fock_dim):
