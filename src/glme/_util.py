@@ -6,6 +6,11 @@ import numpy as np
 
 from .errors import StructuralError
 
+# Largest defect max|m -+ m^T| accepted of a matrix that should be symmetric or
+# antisymmetric, relative to max(1, max|m|); what is accepted is stored as
+# its exact part.
+SYMMETRY_TOL = 1e-10
+
 # Coefficients b_0..b_13 of the Pade [13/13] approximant of exp (Higham, SIAM
 # J. Matrix Anal. Appl. 26:1179, 2005).
 _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
@@ -44,6 +49,17 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
 
 def antisymmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m - m.T)
+
+
+def exact_part(m: np.ndarray, name: str, antisymmetric: bool = False) -> np.ndarray:
+    """(Anti)symmetric part over the last two axes, after a defect check at SYMMETRY_TOL."""
+    m_t = np.swapaxes(m, -1, -2)
+    defect_op, part_op = (np.add, np.subtract) if antisymmetric else (np.subtract, np.add)
+    defect = max_abs(defect_op(m, m_t))
+    if defect > SYMMETRY_TOL * max(1.0, max_abs(m)):
+        kind = "antisymmetric" if antisymmetric else "symmetric"
+        raise StructuralError(f"{name} must be {kind} (defect {defect:.3e})")
+    return 0.5 * part_op(m, m_t)
 
 
 def require_finite(m: np.ndarray, name: str) -> np.ndarray:

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import lyapunov
 from ._util import (
+    exact_part,
     max_abs,
     read_only,
     require_finite,
@@ -24,28 +25,11 @@ from ._util import (
     symmetrize,
 )
 from .errors import DomainError, NumericalError, PositivityError, StructuralError
-from .model import (
-    BOSONIC,
-    GeneralizedLindbladModel,
-    require_valid,
-    symplectic_form,
-)
+from .model import BOSONIC, GeneralizedLindbladModel, drift_matrices, symplectic_form
 
 # Slack below the uncertainty bounds (V + i Omega >= 0, det V >= 1) that still
 # counts as physical.
 PHYSICALITY_TOL = 1e-9
-# Largest max|V - VT| accepted of a covariance, relative to max(1, max|V|);
-# what is accepted is stored as its symmetric part.
-SYMMETRY_TOL = 1e-10
-
-
-def _symmetric(m: np.ndarray, name: str) -> np.ndarray:
-    """Symmetric part over the last two axes, after a defect check at SYMMETRY_TOL."""
-    m_t = np.swapaxes(m, -1, -2)
-    defect = max_abs(m - m_t)
-    if defect > SYMMETRY_TOL * max(1.0, max_abs(m)):
-        raise StructuralError(f"{name} must be symmetric (defect {defect:.3e})")
-    return 0.5 * (m + m_t)
 
 
 @dataclass(frozen=True)
@@ -62,7 +46,7 @@ class GaussianState:
         # require_vector may return the caller's array, which is never frozen
         mean = require_vector(self.mean, "mean", length=v.shape[0]).copy()
         object.__setattr__(self, "mean", read_only(mean))
-        object.__setattr__(self, "v", read_only(_symmetric(v, "V")))
+        object.__setattr__(self, "v", read_only(exact_part(v, "V")))
 
     @classmethod
     def _trusted(cls, mean: np.ndarray, v: np.ndarray) -> "GaussianState":
@@ -92,10 +76,8 @@ class BosonicDriftDiffusion:
     def __post_init__(self):
         a = require_square(self.a, "A", dtype=float)
         d = require_matrix(self.d, "D", shape=a.shape, dtype=float)
-        if max_abs(d - d.T) > 1e-12 * max(1.0, max_abs(d)):
-            raise StructuralError("D must be symmetric")
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "d", exact_part(d, "D"))
 
     @classmethod
     def _trusted(cls, a: np.ndarray, d: np.ndarray) -> "BosonicDriftDiffusion":
@@ -115,11 +97,11 @@ class Trajectory:
     """Moments of either flavor on a time grid, as stacked arrays.
 
     ``covs`` is (T, 2N, 2N); ``means`` is (T, 2N) for bosons and None for
-    fermions. The covariances are checked symmetric at SYMMETRY_TOL for
-    bosons and antisymmetric at ``fermionic.ANTISYMMETRY_TOL`` for fermions,
-    the bounds of the state containers, and stored read-only as that exact
-    part, which the trajectory writers rely on. It reads as a sequence of
-    per-time states, built once on first use.
+    fermions. The covariances are checked symmetric (bosons) or
+    antisymmetric (fermions) by ``_util.exact_part``, the rule of the state
+    containers, and stored read-only as that exact part, which the
+    trajectory writers rely on. It reads as a sequence of per-time states,
+    built once on first use.
 
     Both flavors' ``propagate_covariance`` wrap their output with
     ``_trusted``, which checks shapes and finiteness only: ``lyapunov.propagate``
@@ -156,11 +138,7 @@ class Trajectory:
         if means is not None:
             means = require_finite(means, "mean")
         if not exact:
-            if means is None:
-                from .fermionic import _antisymmetric  # fermionic imports this module
-                covs = _antisymmetric(covs, "covariance")
-            else:
-                covs = _symmetric(covs, "covariance")
+            covs = exact_part(covs, "covariance", antisymmetric=means is None)
         # owned: the (anti)symmetric part and a copy of the means, or handed over to _trusted
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "covs", read_only(covs))
@@ -185,17 +163,17 @@ def build_drift_diffusion(model: GeneralizedLindbladModel) -> BosonicDriftDiffus
 
     A = Omega (H + Im(F^dag Gamma^T F)) and D = 2 Omega Re(F^dag Gamma^T F)
     Omega^T, which requires a Hermitian decoherence matrix for the covariance
-    to stay real. The model is validated once, with one eigensolve of the
-    decoherence matrix and one of D; the arrays built here are only tested
-    for overflow.
+    to stay real. H and S come from ``model.drift_matrices``. The model is
+    validated once, with one eigensolve of the decoherence matrix and one of
+    D; the arrays built here are only tested for overflow.
     """
     if model.flavor != BOSONIC:
         raise StructuralError(f"expected a bosonic model, got {model.flavor!r}")
-    require_valid(model)
+    ham, s = drift_matrices(model)
     omega = symplectic_form(model.n_modes)
-    s = model.f.conj().T @ model.gamma.T @ model.f
-    a = omega @ (model.hamiltonian + s.imag)
+    a = omega @ (ham + s.imag)
     d = symmetrize(2.0 * omega @ s.real @ omega.T)
+    # not redundant: Gamma's allowed negative eigenvalue grows by |F|^2 in D, past D's own bound
     d_min = float(np.min(np.linalg.eigvalsh(d)))
     if d_min < -1e-10 * max(1.0, max_abs(d)):
         raise PositivityError(f"diffusion matrix has negative eigenvalue {d_min:.3e}")
@@ -241,7 +219,9 @@ def check_physicality(v) -> tuple[bool, float]:
     Physical means the smallest eigenvalue is at least -PHYSICALITY_TOL.
 
     ``v`` is one covariance or a (T, 2N, 2N) stack, tested with one
-    ``eigvalsh``; the smallest eigenvalue over the stack is returned.
+    ``eigvalsh``; the smallest eigenvalue over the stack is returned. A raw
+    array is not checked for symmetry: ``eigvalsh`` reads its lower triangle
+    only, so an asymmetric ``v`` reads as the symmetric matrix of that triangle.
     """
     v = require_squares(v, "V")
     if v.shape[-1] % 2 != 0:
@@ -253,8 +233,7 @@ def check_physicality(v) -> tuple[bool, float]:
 
 def purity(v) -> float:
     """Gaussian purity 1/sqrt(det V); raises when det V < 1 - PHYSICALITY_TOL."""
-    v = require_square(v, "V", dtype=float)
-    det = float(np.linalg.det(symmetrize(v)))
+    det = float(np.linalg.det(_as_symmetric(v)))
     if det < 1.0 - PHYSICALITY_TOL:
         raise DomainError(f"det V = {det:.6e} is below the physical bound 1")
     return 1.0 / np.sqrt(max(det, 1e-300))
@@ -273,3 +252,10 @@ def wigner(state: GaussianState, point) -> float:
     except np.linalg.LinAlgError as exc:
         raise NumericalError("covariance matrix is singular") from exc
     return float(np.exp(-dx @ y) / (np.pi ** n * np.sqrt(det)))
+
+
+def _as_symmetric(v) -> np.ndarray:
+    """A state's covariance, or a raw array's symmetric part after ``exact_part``'s check."""
+    if isinstance(v, GaussianState):
+        return v.v
+    return exact_part(require_square(v, "V", dtype=float), "V")

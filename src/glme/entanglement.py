@@ -13,10 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fermionic
-from ._util import require_square
+from . import bosonic, fermionic
 from .errors import NumericalError, StructuralError
-from .bosonic import GaussianState
 from .model import symplectic_form
 
 # Slack above 1 allowed in the composite spectrum.
@@ -53,7 +51,7 @@ def duan_bosonic(state, alpha: float = 1.0, beta: float = -1.0) -> DuanResult:
     reads 2 e^{-2|r|} if Cov(q1, q2) > 0 > Cov(p1, p2), else 2 e^{2|r|}; (1, +1)
     reads the reverse and so detects dissipative two-mode squeezing.
     """
-    v = state.v if isinstance(state, GaussianState) else require_square(state, "V", dtype=float)
+    v = bosonic._as_symmetric(state)
     if v.shape[0] != 4:
         raise StructuralError(f"Duan criterion needs exactly two modes, got shape {v.shape}")
     # Var(x_j) = V[j, j] / 2 and Cov(x_j, x_k) = V[j, k] / 2 in this convention.
@@ -75,7 +73,7 @@ def log_negativity_bosonic(v) -> NegativityResult:
     In this covariance convention (vacuum = identity) the measure is
     max(0, -ln eta).
     """
-    v = require_square(v, "V", dtype=float)
+    v = bosonic._as_symmetric(v)
     if v.shape[0] != 4:
         raise StructuralError(f"log negativity needs exactly two modes, got shape {v.shape}")
     try:

@@ -16,18 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lyapunov
-from ._util import antisymmetrize, max_abs, read_only, require_square, require_squares
+from ._util import antisymmetrize, exact_part, max_abs, read_only, require_square, require_squares
 from .bosonic import Trajectory
 from .errors import BoundaryError, StructuralError
-from .model import FERMIONIC, GeneralizedLindbladModel, require_valid
+from .model import FERMIONIC, GeneralizedLindbladModel, drift_matrices
 
 # Slack above the physical bound |lambda| <= 1.
 PHYSICALITY_TOL = 1e-9
 # Modes with |lambda| >= 1 - BOUNDARY_TOL are pure: their thermal kernel diverges.
 BOUNDARY_TOL = 1e-9
-# Largest max|m + mT| accepted of a matrix that should be antisymmetric, relative
-# to max(1, max|m|); what is accepted is stored as its antisymmetric part.
-ANTISYMMETRY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -40,7 +37,7 @@ class FermionicGaussianState:
         sigma = require_square(self.sigma, "sigma", dtype=float)
         if sigma.shape[0] % 2 != 0 or sigma.shape[0] == 0:
             raise StructuralError(f"sigma must be 2N x 2N, got shape {sigma.shape}")
-        object.__setattr__(self, "sigma", read_only(_antisymmetric(sigma, "sigma")))
+        object.__setattr__(self, "sigma", read_only(exact_part(sigma, "sigma", antisymmetric=True)))
 
     @classmethod
     def _trusted(cls, sigma: np.ndarray) -> "FermionicGaussianState":
@@ -71,7 +68,7 @@ class FermionicDriftDiffusion:
         if y.shape != x.shape:
             raise StructuralError("X and Y must have matching shapes")
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", _antisymmetric(y, "Y"))
+        object.__setattr__(self, "y", exact_part(y, "Y", antisymmetric=True))
 
     @property
     def n_modes(self) -> int:
@@ -85,26 +82,25 @@ class GibbsKernel:
     k: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "k", _antisymmetric(require_square(self.k, "K", dtype=float), "K"))
+        k = require_square(self.k, "K", dtype=float)
+        object.__setattr__(self, "k", exact_part(k, "K", antisymmetric=True))
 
 
 def build_drift_diffusion(model: GeneralizedLindbladModel) -> FermionicDriftDiffusion:
     """Assemble (X, Y) from a validated fermionic model.
 
-    X = G - Re(F^dag Gamma^T F) and Y = -2 Im(F^dag Gamma^T F); Hermiticity
-    of the decoherence matrix makes Y antisymmetric up to the defect that
-    validation allows, and Y is antisymmetrized as the bosonic D is
-    symmetrized. The transpose mirrors the bosonic construction: it is fixed
-    by the requirement that diagonalizing the decoherence matrix leaves the
+    X = G - Re(F^dag Gamma^T F) and Y = -2 Im(F^dag Gamma^T F), with G and
+    S = F^dag Gamma^T F from ``model.drift_matrices``; S is Hermitian up to
+    rounding, and Y is antisymmetrized as the bosonic D is symmetrized. The
+    transpose mirrors the bosonic construction: it is fixed by the
+    requirement that diagonalizing the decoherence matrix leaves the
     dynamics unchanged, and is validated against dense brute-force moment
     derivatives.
     """
     if model.flavor != FERMIONIC:
         raise StructuralError(f"expected a fermionic model, got {model.flavor!r}")
-    require_valid(model)
-    s = model.f.conj().T @ model.gamma.T @ model.f
-    x = model.hamiltonian - s.real
-    return FermionicDriftDiffusion(x=x, y=antisymmetrize(-2.0 * s.imag))
+    ham, s = drift_matrices(model)
+    return FermionicDriftDiffusion(x=ham - s.real, y=antisymmetrize(-2.0 * s.imag))
 
 
 def propagate_covariance(dd: FermionicDriftDiffusion, sigma0, times,
@@ -141,7 +137,7 @@ def check_physicality(sigma) -> tuple[bool, float]:
     if isinstance(sigma, FermionicGaussianState):
         sigma = sigma.sigma
     else:
-        sigma = _antisymmetric(require_squares(sigma, "sigma"), "sigma")
+        sigma = exact_part(require_squares(sigma, "sigma"), "sigma", antisymmetric=True)
     # i sigma is Hermitian with real eigenvalues +-lambda_j
     max_lambda = max_abs(np.linalg.eigvalsh(1j * sigma))
     return max_lambda <= 1.0 + PHYSICALITY_TOL, max_lambda
@@ -201,13 +197,4 @@ def _map_modes(m: np.ndarray, f) -> np.ndarray:
 def _as_antisymmetric(sigma) -> np.ndarray:
     if isinstance(sigma, FermionicGaussianState):
         return sigma.sigma
-    return _antisymmetric(require_square(sigma, "sigma", dtype=float), "sigma")
-
-
-def _antisymmetric(m: np.ndarray, name: str) -> np.ndarray:
-    """Antisymmetric part over the last two axes, after a defect check at ANTISYMMETRY_TOL."""
-    m_t = np.swapaxes(m, -1, -2)
-    defect = max_abs(m + m_t)
-    if defect > ANTISYMMETRY_TOL * max(1.0, max_abs(m)):
-        raise StructuralError(f"{name} must be antisymmetric (defect {defect:.3e})")
-    return 0.5 * (m - m_t)
+    return exact_part(require_square(sigma, "sigma", dtype=float), "sigma", antisymmetric=True)

@@ -357,29 +357,31 @@ def load_spectral(path: str) -> SpectralFunctions:
     """Read spectral data: a flat builtin or tabulated half-Fourier values.
 
     A single object applies to every channel; a list of objects with
-    "channel" keys assigns tables per channel (the first entry without a
-    channel key becomes the shared default).
+    "channel" keys assigns tables per channel. The one entry without a
+    channel key is the shared default; without one, the first entry serves
+    the channels the file does not list. A repeated channel, or a second
+    entry without one, raises ``ParseError``.
     """
     data = _load_json(path)
     entries = data if isinstance(data, list) else [data]
-    base: SpectralFunctions | None = None
-    per_channel: list[tuple[int, SpectralFunctions]] = []
+    specs: dict[int | None, SpectralFunctions] = {}     # None keys the shared default
     try:
         for entry in entries:
             spec = _spectral_entry(entry, path)
             channel = entry.get("channel")
-            if channel is None:
-                if base is None:
-                    base = spec
-            else:
-                per_channel.append((int(channel), spec))
-        if base is None:
-            if not per_channel:
-                raise ParseError(f"{path}: no spectral entries found")
-            base = per_channel[0][1]
-        for channel, spec in per_channel:
+            channel = None if channel is None else int(channel)
+            if channel in specs:
+                which = "entry without a channel" if channel is None else f"entry for channel {channel}"
+                raise ParseError(f"{path}: duplicate spectral {which}")
+            specs[channel] = spec
+        if not specs:
+            raise ParseError(f"{path}: no spectral entries found")
+        base = specs.pop(None) if None in specs else next(iter(specs.values()))
+        for channel, spec in specs.items():
             base = base.with_channel(channel, spec.s1, spec.s2)
         return base
+    except KeyError as exc:
+        raise ParseError(f"{path}: missing required field {exc}") from exc
     except (StructuralError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

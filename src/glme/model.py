@@ -125,39 +125,40 @@ class GeneralizedLindbladModel:
         return self.f.shape[0]
 
 
+def _checked(model: GeneralizedLindbladModel) -> tuple[ValidationReport, np.ndarray, np.ndarray]:
+    """The validation report, H's exact (anti)symmetric part and Gamma's Hermitian part."""
+    gamma = model.gamma
+    gamma_dag = gamma.conj().T
+    gamma_scale = max(1.0, max_abs(gamma))
+    hermitian_defect = max_abs(gamma - gamma_dag)
+    gamma_h = 0.5 * (gamma + gamma_dag)
+    min_eig = float(np.linalg.eigvalsh(gamma_h).min()) if gamma.shape[0] > 0 else 0.0
+
+    ham = model.hamiltonian
+    ham_t = ham.T if model.flavor == BOSONIC else -ham.T
+    ham_defect = max_abs(ham - ham_t)
+
+    is_valid = (
+        hermitian_defect <= VALIDATION_TOL * gamma_scale
+        and min_eig >= -VALIDATION_TOL * gamma_scale
+        and ham_defect <= VALIDATION_TOL * max(1.0, max_abs(ham))
+    )
+    report = ValidationReport(
+        hermitian_defect=hermitian_defect,
+        min_gamma_eigenvalue=min_eig,
+        hamiltonian_symmetry_defect=ham_defect,
+        is_valid=is_valid,
+    )
+    return report, 0.5 * (ham + ham_t), gamma_h
+
+
 def validate_model(model: GeneralizedLindbladModel) -> ValidationReport:
     """Check the decoherence-matrix and Hamiltonian-matrix invariants.
 
     The bound is VALIDATION_TOL relative to the largest entry of the matrix
     under test (floored at 1), so a zero matrix validates cleanly.
     """
-    gamma = model.gamma
-    gamma_dag = gamma.conj().T
-    gamma_scale = max(1.0, max_abs(gamma))
-    hermitian_defect = max_abs(gamma - gamma_dag)
-    if gamma.shape[0] > 0:
-        min_eig = float(np.linalg.eigvalsh(0.5 * (gamma + gamma_dag)).min())
-    else:
-        min_eig = 0.0
-
-    ham = model.hamiltonian
-    ham_scale = max(1.0, max_abs(ham))
-    if model.flavor == BOSONIC:
-        ham_defect = max_abs(ham - ham.T)
-    else:
-        ham_defect = max_abs(ham + ham.T)
-
-    is_valid = (
-        hermitian_defect <= VALIDATION_TOL * gamma_scale
-        and min_eig >= -VALIDATION_TOL * gamma_scale
-        and ham_defect <= VALIDATION_TOL * ham_scale
-    )
-    return ValidationReport(
-        hermitian_defect=hermitian_defect,
-        min_gamma_eigenvalue=min_eig,
-        hamiltonian_symmetry_defect=ham_defect,
-        is_valid=is_valid,
-    )
+    return _checked(model)[0]
 
 
 def _require_positive(hermitian_defect: float, min_eigenvalue: float, gamma: np.ndarray):
@@ -173,17 +174,34 @@ def _require_positive(hermitian_defect: float, min_eigenvalue: float, gamma: np.
         raise PositivityError(f"decoherence matrix has negative eigenvalue {min_eigenvalue:.3e}")
 
 
-def require_valid(model: GeneralizedLindbladModel):
-    """Validate a model, raising the error for the first invariant it breaks."""
-    report = validate_model(model)
+def require_valid(model: GeneralizedLindbladModel) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a model, raising the error for the first invariant it breaks.
+
+    Returns the exact parts it validated, which are all the dynamics read of
+    H and Gamma: the Hamiltonian matrix's symmetric (bosons) or
+    antisymmetric (fermions) part, and the decoherence matrix's Hermitian
+    part. Both differ from the model's arrays by at most the validation slack.
+    """
+    report, ham, gamma = _checked(model)
     if report.is_valid:
-        return
+        return ham, gamma
     _require_positive(report.hermitian_defect, report.min_gamma_eigenvalue, model.gamma)
     symmetry = "symmetric" if model.flavor == BOSONIC else "antisymmetric"
     raise StructuralError(
         f"{model.flavor} hamiltonian matrix must be {symmetry} "
         f"(defect {report.hamiltonian_symmetry_defect:.3e})"
     )
+
+
+def drift_matrices(model: GeneralizedLindbladModel) -> tuple[np.ndarray, np.ndarray]:
+    """(H, S) of a validated model, with S = F^dag Gamma^T F.
+
+    Both are formed from the exact parts ``require_valid`` returns, so S is
+    Hermitian up to the rounding of its products. Both flavors' drift and
+    diffusion matrices are built from these two alone.
+    """
+    ham, gamma = require_valid(model)
+    return ham, model.f.conj().T @ gamma.T @ model.f
 
 
 def split_non_hermitian(gamma) -> tuple[np.ndarray, np.ndarray]:

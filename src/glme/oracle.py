@@ -6,8 +6,9 @@ trusting the moment machinery under test. Each engine applies its generator
 in operator form, L(rho) = G rho + rho G' + sum_j F_j rho B_j with
 G = -iH - K/2, G' = iH - K/2 and B_j = sum_k gamma[j, k] F_k^dag (the double
 sum over the decoherence matrix grouped by its rows), in ``liouvillian`` and
-the Heisenberg ``liouvillian_adjoint``. The engines are built from a
-validated model with its decoherence matrix taken Hermitian, so the
+the Heisenberg ``liouvillian_adjoint``. The engines are built from the
+exact parts ``model.require_valid`` returns, the decoherence matrix's
+Hermitian part and the Hamiltonian matrix's (anti)symmetric part, so the
 generator maps Hermitian operators to Hermitian operators: its sparse
 superoperator S on row-major vectorized states is fixed by its rows m <= n
 (S[pi j, pi k] = conj S[j, k] for the transposition pi: |m><n| -> |n><m|),
@@ -37,7 +38,7 @@ import scipy.sparse as sp
 from scipy.linalg import expm
 
 from . import lyapunov
-from ._util import antisymmetrize, max_abs, require_finite, symmetrize
+from ._util import max_abs, require_finite
 from .errors import DomainError, NumericalError, StructuralError, TruncationError
 from .model import BOSONIC, FERMIONIC, GeneralizedLindbladModel, require_valid
 
@@ -290,17 +291,6 @@ def _trace_product(a: tuple, rho: np.ndarray) -> complex:
     """Tr(a rho) = sum_ij a_ij rho_ji over the stored entries of ``a``, given as its triplets."""
     row, col, val = a
     return complex(val @ rho[col, row])
-
-
-def _hermitian_gamma(model: GeneralizedLindbladModel) -> np.ndarray:
-    """The Hermitian part of the decoherence matrix, after ``require_valid(model)``.
-
-    The anti-Hermitian part, within the validation slack, is dropped as
-    ``model.to_standard_form`` drops it; with the Hamiltonian matrix taken
-    (anti)symmetric too, the generator preserves Hermiticity.
-    """
-    require_valid(model)
-    return 0.5 * (model.gamma + model.gamma.conj().T)
 
 
 class _DenseEngine:
@@ -561,7 +551,7 @@ class DenseBosonicEngine(_DenseEngine):
             raise StructuralError(f"expected a bosonic model, got {model.flavor!r}")
         if fock_dim < 2:
             raise StructuralError("fock_dim must be at least 2")
-        self.gamma = _hermitian_gamma(model)
+        ham, self.gamma = require_valid(model)
         n = model.n_modes
         dim = fock_dim ** n
         if dim > _MAX_DENSE_DIM:
@@ -593,8 +583,7 @@ class DenseBosonicEngine(_DenseEngine):
         f_q, f_p = model.f[:, 0::2], model.f[:, 1::2]
         self.basis_rows = np.hstack([sqrt_half * (f_q - 1j * f_p), sqrt_half * (f_q + 1j * f_p)])
 
-        self.hamiltonian_op = _quadratic(0.5 * symmetrize(model.hamiltonian),
-                                         self.x_ops, self.x_ops, self._zero)
+        self.hamiltonian_op = _quadratic(0.5 * ham, self.x_ops, self.x_ops, self._zero)
         self.f_ops = [_combine(row, self.x_ops, self._zero) for row in model.f]
         self._finalize()
 
@@ -680,32 +669,17 @@ class DenseFermionicEngine(_DenseEngine):
         n = model.n_modes
         if n > 5:
             raise StructuralError("dense fermionic engine is limited to 5 modes")
-        self.gamma = _hermitian_gamma(model)
+        ham, self.gamma = require_valid(model)
         self.model = model
         self.n_modes = n
         self.dim = 2 ** n
         self.w_ops = jordan_wigner_majoranas(n)
-        self._self_test()
-
         self._zero = np.zeros((self.dim, self.dim), dtype=complex)
-        self.hamiltonian_op = _quadratic(0.5j * antisymmetrize(model.hamiltonian),
-                                         self.w_ops, self.w_ops, self._zero)
+        self.hamiltonian_op = _quadratic(0.5j * ham, self.w_ops, self.w_ops, self._zero)
         self.f_ops = [_combine(row, self.w_ops, self._zero) for row in model.f]
         self.basis_ops = self.w_ops
         self.basis_rows = model.f
         self._finalize()
-
-    def _self_test(self):
-        ident = np.eye(self.dim)
-        worst = 0.0
-        for j, wj in enumerate(self.w_ops):
-            for k, wk in enumerate(self.w_ops):
-                delta = 1.0 if j == k else 0.0
-                worst = max(worst, max_abs(wj @ wk + wk @ wj - delta * ident))
-        if worst > 1e-13:
-            raise StructuralError(
-                f"Majorana construction failed its anticommutator self-test ({worst:.3e})"
-            )
 
     def maximally_mixed(self) -> np.ndarray:
         return np.eye(self.dim, dtype=complex) / self.dim

@@ -122,18 +122,13 @@ class SpectralFunctions:
         )
 
     @classmethod
-    def tabulated(cls, s1_points, s2_points, channel: int | None = None) -> "SpectralFunctions":
+    def tabulated(cls, s1_points, s2_points) -> "SpectralFunctions":
         """Linear interpolation of (frequency, complex value) rows.
 
         Evaluation outside the tabulated frequency range is an error rather
         than an extrapolation.
         """
-        s1 = _interpolator(s1_points, "s1")
-        s2 = _interpolator(s2_points, "s2")
-        base = cls(s1=s1, s2=s2)
-        if channel is None:
-            return base
-        return cls(s1=s1, s2=s2, per_channel={channel: (s1, s2)})
+        return cls(s1=_interpolator(s1_points, "s1"), s2=_interpolator(s2_points, "s2"))
 
     def with_channel(self, channel: int, s1, s2) -> "SpectralFunctions":
         per = dict(self.per_channel)

@@ -63,6 +63,16 @@ class TestBuildDriftDiffusion:
         with pytest.raises(PositivityError):
             bosonic.build_drift_diffusion(m)
 
+    def test_diffusion_checked_although_gamma_validated(self):
+        # Gamma's eigenvalue -1e-11 is inside the validation slack; F scales it to -2e-5 in D
+        m = glme.GeneralizedLindbladModel(
+            "bosonic", 1, np.eye(2), np.diag([1.0, 1e3]).astype(complex),
+            np.diag([1.0, -1e-11]).astype(complex),
+        )
+        assert model.validate_model(m).is_valid
+        with pytest.raises(PositivityError, match="diffusion matrix has negative eigenvalue -2.000e-05"):
+            bosonic.build_drift_diffusion(m)
+
     def test_asymmetric_hamiltonian_rejected(self):
         m = glme.GeneralizedLindbladModel(
             "bosonic", 1, np.array([[1.0, 0.5], [0.0, 1.0]]),
@@ -352,6 +362,7 @@ class TestTrajectory:
         "state": lambda v: bosonic.GaussianState(np.zeros(2), v).v,
         "trajectory": lambda v: bosonic.Trajectory([0.0, 1.0], np.stack([v, v]),
                                                    np.zeros((2, 2))).covs[1],
+        "drift_diffusion": lambda v: bosonic.BosonicDriftDiffusion(a=np.eye(2), d=v).d,
     }
 
     @pytest.mark.parametrize("store", list(symmetric_inputs))
@@ -487,6 +498,13 @@ class TestPhysicalityAndPurity:
     def test_purity_values(self):
         assert bosonic.purity(np.eye(2)) == pytest.approx(1.0)
         assert bosonic.purity(2.0 * np.eye(2)) == pytest.approx(0.5)
+
+    def test_purity_reads_the_symmetric_part(self):
+        v = np.array([[2.0, 0.3], [0.3, 2.0]])
+        one_sided = v + np.array([[0.0, 2e-11], [0.0, 0.0]])
+        assert bosonic.purity(one_sided) == bosonic.purity(0.5 * (one_sided + one_sided.T))
+        with pytest.raises(StructuralError, match="symmetric"):
+            bosonic.purity([[2.0, 3.0], [-3.0, 2.0]])
 
     def test_purity_rejects_unphysical(self):
         with pytest.raises(DomainError):

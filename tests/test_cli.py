@@ -148,6 +148,47 @@ class TestEvolve:
         assert "times must be finite" in error["detail"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("flavor", ["bosonic", "fermionic"])
+    def test_initial_state_file(self, runner, damped_file, fermionic_file, tmp_path, flavor):
+        boson = flavor == "bosonic"
+        path, out = str(tmp_path / "state.json"), str(tmp_path / "traj.json")
+        if boson:
+            state = bosonic.GaussianState(np.array([1.0, -0.5]), np.array([[2.0, 0.3], [0.3, 1.5]]))
+            extra = {"mean0": state.mean}
+        else:
+            state = fermionic.FermionicGaussianState(np.array([[0.0, 0.4], [-0.4, 0.0]]))
+            extra = {}
+        io.save_state(state, path)
+        result = runner.invoke(main, [
+            "evolve", "--model", damped_file if boson else fermionic_file, "--state", path,
+            "--t-final", "2", "--steps", "4", "--output", out, "--format", "json",
+        ])
+        assert result.exit_code == 0, result.output
+        module = bosonic if boson else fermionic
+        dd = module.build_drift_diffusion(io.load_model(damped_file if boson else fermionic_file))
+        times = np.linspace(0.0, 2.0, 5)
+        traj = module.propagate_covariance(dd, state.v if boson else state.sigma, times, **extra)
+        expected = (io.bosonic_trajectory_json(traj) if boson
+                    else io.fermionic_trajectory_json(times, traj))
+        assert open(out).read() == expected
+        if boson:
+            assert np.max(np.abs(traj.means[-1])) > 0.1
+
+    @pytest.mark.parametrize("state", [
+        bosonic.GaussianState(np.zeros(2), np.eye(2)),
+        fermionic.FermionicGaussianState(np.zeros((2, 2))),
+    ])
+    def test_initial_state_flavor_mismatch(self, runner, damped_file, fermionic_file,
+                                           tmp_path, state):
+        path = str(tmp_path / "state.json")
+        io.save_state(state, path)
+        mismatched = fermionic_file if isinstance(state, bosonic.GaussianState) else damped_file
+        result = runner.invoke(main, ["evolve", "--model", mismatched, "--state", path])
+        assert result.exit_code == 1
+        error = json.loads(result.stderr)
+        assert error["code"] == "structure"
+        assert "flavor" in error["detail"]
+
     def test_json_format(self, runner, damped_file, tmp_path):
         out = str(tmp_path / "traj.json")
         result = runner.invoke(main, [

@@ -17,6 +17,18 @@ def rotation(theta):
     return np.array([[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]])
 
 
+@pytest.mark.parametrize("measure", [entanglement.duan_bosonic, entanglement.log_negativity_bosonic])
+def test_bosonic_measures_read_the_symmetric_part(measure):
+    # a one-sided Cov(q1, q2) read from either triangle alone gives another state's verdict
+    v = np.eye(4)
+    v[0, 2] = 0.9
+    with pytest.raises(StructuralError, match="symmetric"):
+        measure(v)
+    inside = tmsv_cov(0.3)
+    inside[0, 2] += 2e-11
+    assert measure(inside) == measure(0.5 * (inside + inside.T))
+
+
 class TestDuanBosonic:
     def test_vacuum_sits_on_the_bound(self):
         state = bosonic.GaussianState(np.zeros(4), np.eye(4))

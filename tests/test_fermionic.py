@@ -6,7 +6,7 @@ from scipy.linalg import block_diag
 from scipy.stats import ortho_group
 
 import glme
-from glme import bosonic, fermionic, oracle
+from glme import _util, bosonic, fermionic, oracle
 from glme.errors import BoundaryError, PositivityError, StabilityError, StructuralError
 
 from conftest import (
@@ -289,7 +289,7 @@ class TestStructure:
         "state": lambda m: fermionic.FermionicGaussianState(m).sigma,
         "drift_diffusion": lambda m: fermionic.FermionicDriftDiffusion(x=np.eye(2), y=m).y,
         "gibbs_kernel": lambda m: fermionic.GibbsKernel(m).k,
-        "free_check": lambda m: fermionic._antisymmetric(m, "m"),
+        "free_check": lambda m: _util.exact_part(m, "m", antisymmetric=True),
         "trajectory": lambda m: bosonic.Trajectory([0.0, 1.0], np.stack([m, m])).covs[1],
     }
 

@@ -383,6 +383,34 @@ class TestCouplingAndSpectralFiles:
         assert spectral.evaluate(1, 0, 1.0) == pytest.approx(0.5)
         assert spectral.evaluate(1, 2, 1.0) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("entries, duplicate", [
+        ('{"builtin": "flat", "kappa": 1.0}, {"builtin": "flat", "kappa": 9.0}',
+         "entry without a channel"),
+        ('{"channel": 2, "builtin": "flat", "kappa": 1.0}, '
+         '{"channel": 2, "builtin": "flat", "kappa": 9.0}', "entry for channel 2"),
+    ])
+    def test_duplicate_spectral_entry_rejected(self, tmp_path, entries, duplicate):
+        path = tmp_path / "spec.json"
+        path.write_text(f"[{entries}]")
+        with pytest.raises(ParseError, match=f"duplicate spectral {duplicate}"):
+            io.load_spectral(str(path))
+
+    def test_unlisted_channel_falls_back_to_first_entry(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(
+            '[{"channel": 1, "builtin": "flat", "kappa": 2.0}, '
+            '{"channel": 3, "builtin": "flat", "kappa": 6.0}]'
+        )
+        spectral = io.load_spectral(str(path))
+        assert spectral.evaluate(1, 0, 1.0) == pytest.approx(1.0)
+        assert spectral.evaluate(1, 3, 1.0) == pytest.approx(3.0)
+
+    def test_spectral_entry_missing_field(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"builtin": "flat"}')
+        with pytest.raises(ParseError, match="missing required field 'kappa'"):
+            io.load_spectral(str(path))
+
     def test_bad_builtin(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text('{"builtin": "ohmic"}')

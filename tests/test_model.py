@@ -91,6 +91,32 @@ class TestValidateModel:
             )
 
 
+class TestExactParts:
+    @pytest.mark.parametrize("flavor", ["bosonic", "fermionic"])
+    def test_builders_and_engines_read_only_the_exact_parts(self, rng, flavor):
+        m = (random_bosonic_model if flavor == "bosonic" else random_fermionic_model)(rng, 1)
+        ham, gamma = m.hamiltonian.copy(), m.gamma.copy()
+        ham[0, 1] += 1e-12
+        gamma[0, 1] += 1e-12j
+        slack = glme.GeneralizedLindbladModel(flavor, 1, ham, m.f, gamma)
+        ham_exact, gamma_exact = model.require_valid(slack)
+        sign = 1.0 if flavor == "bosonic" else -1.0
+        assert np.array_equal(ham_exact, sign * ham_exact.T)
+        assert np.array_equal(gamma_exact, gamma_exact.conj().T)
+        assert np.max(np.abs(ham_exact - ham)) <= 1e-12
+        assert np.max(np.abs(gamma_exact - gamma)) <= 1e-12
+        exact = glme.GeneralizedLindbladModel(flavor, 1, ham_exact, m.f, gamma_exact)
+        module = bosonic if flavor == "bosonic" else fermionic
+        for got, want in zip(vars(module.build_drift_diffusion(slack)).values(),
+                             vars(module.build_drift_diffusion(exact)).values()):
+            assert np.array_equal(got, want)
+        engine = oracle.DenseBosonicEngine if flavor == "bosonic" else oracle.DenseFermionicEngine
+        kwargs = {"fock_dim": 4} if flavor == "bosonic" else {}
+        built = [engine(x, **kwargs) for x in (slack, exact)]
+        assert np.array_equal(built[0].gamma, built[1].gamma)
+        assert np.array_equal(built[0].hamiltonian_op, built[1].hamiltonian_op)
+
+
 class TestSplitNonHermitian:
     def test_hermitian_input_passes_through(self):
         gamma = np.array([[2.0, 1j], [-1j, 3.0]])
