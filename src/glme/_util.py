@@ -6,9 +6,9 @@ import numpy as np
 
 from .errors import StructuralError
 
-# Largest defect max|m -+ m^T| accepted of a matrix that should be symmetric or
-# antisymmetric, relative to max(1, max|m|); what is accepted is stored as
-# its exact part.
+# The one rule: a matrix that should be Hermitian (real: symmetric), anti-Hermitian
+# or positive semidefinite may miss by SYMMETRY_TOL * max(1, max|m|), ``slack``;
+# what is accepted is read as its exact part.
 SYMMETRY_TOL = 1e-10
 
 # Coefficients b_0..b_13 of the Pade [13/13] approximant of exp (Higham, SIAM
@@ -51,15 +51,25 @@ def antisymmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m - m.T)
 
 
-def exact_part(m: np.ndarray, name: str, antisymmetric: bool = False) -> np.ndarray:
-    """(Anti)symmetric part over the last two axes, after a defect check at SYMMETRY_TOL."""
-    m_t = np.swapaxes(m, -1, -2)
+def slack(m) -> float:
+    """Largest defect, or negative eigenvalue, accepted of ``m`` by the one rule."""
+    return SYMMETRY_TOL * max(1.0, max_abs(m))
+
+
+def part_and_defect(m: np.ndarray, antisymmetric: bool = False) -> tuple[np.ndarray, float]:
+    """(Anti-)Hermitian part over the last two axes, and its defect max|m -+ m^dag|; no check."""
+    m_dag = np.swapaxes(m, -1, -2).conj()   # conj of a real array is the array itself
     defect_op, part_op = (np.add, np.subtract) if antisymmetric else (np.subtract, np.add)
-    defect = max_abs(defect_op(m, m_t))
-    if defect > SYMMETRY_TOL * max(1.0, max_abs(m)):
-        kind = "antisymmetric" if antisymmetric else "symmetric"
+    return 0.5 * part_op(m, m_dag), max_abs(defect_op(m, m_dag))
+
+
+def exact_part(m: np.ndarray, name: str, antisymmetric: bool = False) -> np.ndarray:
+    """``part_and_defect``'s part, after raising StructuralError for a defect over the slack."""
+    part, defect = part_and_defect(m, antisymmetric)
+    if defect > slack(m):
+        kind = "antisymmetric" if antisymmetric else "Hermitian" if np.iscomplexobj(m) else "symmetric"
         raise StructuralError(f"{name} must be {kind} (defect {defect:.3e})")
-    return 0.5 * part_op(m, m_t)
+    return part
 
 
 def require_finite(m: np.ndarray, name: str) -> np.ndarray:

@@ -15,13 +15,13 @@ import numpy as np
 from . import lyapunov
 from ._util import (
     exact_part,
-    max_abs,
     read_only,
     require_finite,
     require_matrix,
     require_square,
     require_squares,
     require_vector,
+    slack,
     symmetrize,
 )
 from .errors import DomainError, NumericalError, PositivityError, StructuralError
@@ -175,7 +175,7 @@ def build_drift_diffusion(model: GeneralizedLindbladModel) -> BosonicDriftDiffus
     d = symmetrize(2.0 * omega @ s.real @ omega.T)
     # not redundant: Gamma's allowed negative eigenvalue grows by |F|^2 in D, past D's own bound
     d_min = float(np.min(np.linalg.eigvalsh(d)))
-    if d_min < -1e-10 * max(1.0, max_abs(d)):
+    if d_min < -slack(d):
         raise PositivityError(f"diffusion matrix has negative eigenvalue {d_min:.3e}")
     return BosonicDriftDiffusion._trusted(require_finite(a, "A"), require_finite(d, "D"))
 
@@ -218,12 +218,11 @@ def check_physicality(v) -> tuple[bool, float]:
 
     Physical means the smallest eigenvalue is at least -PHYSICALITY_TOL.
 
-    ``v`` is one covariance or a (T, 2N, 2N) stack, tested with one
-    ``eigvalsh``; the smallest eigenvalue over the stack is returned. A raw
-    array is not checked for symmetry: ``eigvalsh`` reads its lower triangle
-    only, so an asymmetric ``v`` reads as the symmetric matrix of that triangle.
+    ``v`` is one covariance or a (T, 2N, 2N) stack, read as its symmetric
+    part after ``exact_part``'s check and tested with one ``eigvalsh``; the
+    smallest eigenvalue over the stack is returned.
     """
-    v = require_squares(v, "V")
+    v = _as_symmetric(v, stack=True)
     if v.shape[-1] % 2 != 0:
         raise StructuralError("V must be 2N x 2N")
     omega = symplectic_form(v.shape[-1] // 2)
@@ -254,8 +253,8 @@ def wigner(state: GaussianState, point) -> float:
     return float(np.exp(-dx @ y) / (np.pi ** n * np.sqrt(det)))
 
 
-def _as_symmetric(v) -> np.ndarray:
-    """A state's covariance, or a raw array's symmetric part after ``exact_part``'s check."""
+def _as_symmetric(v, stack: bool = False) -> np.ndarray:
+    """A state's covariance, or the symmetric part of a raw square (or ``stack``) after its check."""
     if isinstance(v, GaussianState):
         return v.v
-    return exact_part(require_square(v, "V", dtype=float), "V")
+    return exact_part(require_squares(v, "V") if stack else require_square(v, "V", dtype=float), "V")

@@ -134,10 +134,7 @@ def check_physicality(sigma) -> tuple[bool, float]:
     ``sigma`` is one covariance or a (T, 2N, 2N) stack, tested with one
     ``eigvalsh``; the largest magnitude over the stack is returned.
     """
-    if isinstance(sigma, FermionicGaussianState):
-        sigma = sigma.sigma
-    else:
-        sigma = exact_part(require_squares(sigma, "sigma"), "sigma", antisymmetric=True)
+    sigma = _as_antisymmetric(sigma, stack=True)
     # i sigma is Hermitian with real eigenvalues +-lambda_j
     max_lambda = max_abs(np.linalg.eigvalsh(1j * sigma))
     return max_lambda <= 1.0 + PHYSICALITY_TOL, max_lambda
@@ -194,7 +191,9 @@ def _map_modes(m: np.ndarray, f) -> np.ndarray:
     return antisymmetrize((-1j * (u * f(mu)) @ u.conj().T).real)
 
 
-def _as_antisymmetric(sigma) -> np.ndarray:
+def _as_antisymmetric(sigma, stack: bool = False) -> np.ndarray:
+    """A state's covariance, or the antisymmetric part of a raw square (or ``stack``) after its check."""
     if isinstance(sigma, FermionicGaussianState):
         return sigma.sigma
-    return exact_part(require_square(sigma, "sigma", dtype=float), "sigma", antisymmetric=True)
+    sigma = require_squares(sigma, "sigma") if stack else require_square(sigma, "sigma", dtype=float)
+    return exact_part(sigma, "sigma", antisymmetric=True)

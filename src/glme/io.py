@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from operator import itemgetter
 
 import numpy as np
@@ -134,13 +135,24 @@ def atomic_write(path: str, text: str):
         raise
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str):
     try:
         with open(path) as handle:
             return json.load(handle)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}") from exc
     except OSError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+@contextmanager
+def _parsing(path: str):
+    """Report what a file's contents break as ``ParseError("{path}: ...")``."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ParseError(f"{path}: missing required field {exc}") from exc
+    except (StructuralError, TypeError, ValueError, IndexError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
@@ -164,36 +176,27 @@ def _complex_matrix(data, name: str) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def _complex_pairs(matrix: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(matrix, dtype=complex)]
+def _complex_pairs(matrix: np.ndarray) -> np.ndarray:
+    """A complex matrix as its float array of [re, im] pairs, rendered by ``dumps``'s template."""
+    return np.stack([matrix.real, matrix.imag], axis=-1)
 
 
 def load_model(path: str) -> GeneralizedLindbladModel:
     """Read a model file, enforcing all type invariants."""
     data = _load_json(path)
-    try:
+    with _parsing(path):
         kind = data["kind"]
         n_modes = int(data["n_modes"])
         hamiltonian = _real_matrix(data["hamiltonian"], "hamiltonian")
         f = _complex_matrix(data["F"], "F")
         gamma = _complex_matrix(data["Gamma"], "Gamma")
-    except KeyError as exc:
-        raise ParseError(f"{path}: missing required field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if kind not in FLAVORS:
-        raise ParseError(f"{path}: kind must be one of {FLAVORS}, got {kind!r}")
-    if data.get("ladder_basis", False):
-        try:
+        if kind not in FLAVORS:
+            raise ParseError(f"{path}: kind must be one of {FLAVORS}, got {kind!r}")
+        if data.get("ladder_basis", False):
             f = ladder_to_canonical(f, kind)
-        except StructuralError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-    try:
         return GeneralizedLindbladModel(
             flavor=kind, n_modes=n_modes, hamiltonian=hamiltonian, f=f, gamma=gamma
         )
-    except StructuralError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
 
 
 def model_payload(model: GeneralizedLindbladModel) -> dict:
@@ -213,19 +216,17 @@ def save_model(model: GeneralizedLindbladModel, path: str):
 def load_state(path: str):
     """Read a state file; returns a bosonic or fermionic state by kind."""
     data = _load_json(path)
-    kind = data.get("kind")
-    if kind not in FLAVORS:
-        raise ParseError(f"{path}: kind must be one of {FLAVORS}, got {kind!r}")
-    try:
+    with _parsing(path):
+        if not isinstance(data, dict):
+            raise TypeError(f"top level must be a JSON object, got {type(data).__name__}")
+        kind = data.get("kind")
+        if kind not in FLAVORS:
+            raise ParseError(f"{path}: kind must be one of {FLAVORS}, got {kind!r}")
         if kind == FERMIONIC:
             return FermionicGaussianState(sigma=_real_matrix(data["sigma"], "sigma"))
         v = _real_matrix(data["V"], "V")
         mean = np.asarray(data.get("mean", np.zeros(v.shape[0])), dtype=float)
         return GaussianState(mean=mean, v=v)
-    except KeyError as exc:
-        raise ParseError(f"{path}: missing required field {exc}") from exc
-    except (StructuralError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
 
 
 def save_state(state, path: str):
@@ -333,9 +334,8 @@ def fermionic_trajectory_json(times, states) -> str:
 def load_coupling_table(path: str) -> CouplingTable:
     """Read mode frequencies and coupling terms from a table file."""
     data = _load_json(path)
-    try:
+    with _parsing(path):
         freqs = np.asarray(data["mode_frequencies"], dtype=float)
-        raw_terms = data.get("couplings", [])
         terms = [
             CouplingTerm(
                 mode=int(t["mode"]),
@@ -344,13 +344,9 @@ def load_coupling_table(path: str) -> CouplingTable:
                 c=float(t["c"]),
                 omega=float(t["Omega"]),
             )
-            for t in raw_terms
+            for t in data.get("couplings", [])
         ]
         return CouplingTable(n_modes=freqs.shape[0], mode_frequencies=freqs, terms=tuple(terms))
-    except KeyError as exc:
-        raise ParseError(f"{path}: missing required field {exc}") from exc
-    except (StructuralError, TypeError, ValueError, IndexError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
 
 
 def load_spectral(path: str) -> SpectralFunctions:
@@ -365,7 +361,7 @@ def load_spectral(path: str) -> SpectralFunctions:
     data = _load_json(path)
     entries = data if isinstance(data, list) else [data]
     specs: dict[int | None, SpectralFunctions] = {}     # None keys the shared default
-    try:
+    with _parsing(path):
         for entry in entries:
             spec = _spectral_entry(entry, path)
             channel = entry.get("channel")
@@ -380,10 +376,6 @@ def load_spectral(path: str) -> SpectralFunctions:
         for channel, spec in specs.items():
             base = base.with_channel(channel, spec.s1, spec.s2)
         return base
-    except KeyError as exc:
-        raise ParseError(f"{path}: missing required field {exc}") from exc
-    except (StructuralError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _spectral_entry(entry: dict, path: str) -> SpectralFunctions:

@@ -15,16 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import max_abs, require_matrix, require_square
+from ._util import part_and_defect, require_matrix, require_square, slack
 from .errors import PositivityError, StructuralError
 
 BOSONIC = "bosonic"
 FERMIONIC = "fermionic"
 FLAVORS = (BOSONIC, FERMIONIC)
-
-# Defects and negative eigenvalues are allowed up to VALIDATION_TOL times the
-# largest entry of the matrix under test, floored at 1.
-VALIDATION_TOL = 1e-10
 
 
 # symplectic_form's arrays, built on first request for each mode count.
@@ -127,43 +123,32 @@ class GeneralizedLindbladModel:
 
 def _checked(model: GeneralizedLindbladModel) -> tuple[ValidationReport, np.ndarray, np.ndarray]:
     """The validation report, H's exact (anti)symmetric part and Gamma's Hermitian part."""
-    gamma = model.gamma
-    gamma_dag = gamma.conj().T
-    gamma_scale = max(1.0, max_abs(gamma))
-    hermitian_defect = max_abs(gamma - gamma_dag)
-    gamma_h = 0.5 * (gamma + gamma_dag)
-    min_eig = float(np.linalg.eigvalsh(gamma_h).min()) if gamma.shape[0] > 0 else 0.0
-
-    ham = model.hamiltonian
-    ham_t = ham.T if model.flavor == BOSONIC else -ham.T
-    ham_defect = max_abs(ham - ham_t)
-
-    is_valid = (
-        hermitian_defect <= VALIDATION_TOL * gamma_scale
-        and min_eig >= -VALIDATION_TOL * gamma_scale
-        and ham_defect <= VALIDATION_TOL * max(1.0, max_abs(ham))
-    )
+    gamma_h, hermitian_defect = part_and_defect(model.gamma)
+    min_eig = float(np.linalg.eigvalsh(gamma_h).min()) if gamma_h.shape[0] > 0 else 0.0
+    ham, ham_defect = part_and_defect(model.hamiltonian, antisymmetric=model.flavor != BOSONIC)
     report = ValidationReport(
         hermitian_defect=hermitian_defect,
         min_gamma_eigenvalue=min_eig,
         hamiltonian_symmetry_defect=ham_defect,
-        is_valid=is_valid,
+        is_valid=(max(hermitian_defect, -min_eig) <= slack(model.gamma)
+                  and ham_defect <= slack(model.hamiltonian)),
     )
-    return report, 0.5 * (ham + ham_t), gamma_h
+    return report, ham, gamma_h
 
 
 def validate_model(model: GeneralizedLindbladModel) -> ValidationReport:
     """Check the decoherence-matrix and Hamiltonian-matrix invariants.
 
-    The bound is VALIDATION_TOL relative to the largest entry of the matrix
-    under test (floored at 1), so a zero matrix validates cleanly.
+    The bound is ``_util.slack`` of the matrix under test, SYMMETRY_TOL
+    relative to its largest entry floored at 1, so a zero matrix validates
+    cleanly.
     """
     return _checked(model)[0]
 
 
 def _require_positive(hermitian_defect: float, min_eigenvalue: float, gamma: np.ndarray):
-    """Raise unless the decoherence matrix is Hermitian and PSD to within VALIDATION_TOL."""
-    bound = VALIDATION_TOL * max(1.0, max_abs(gamma))
+    """Raise unless the decoherence matrix is Hermitian and PSD to within its slack."""
+    bound = slack(gamma)
     if hermitian_defect > bound:
         raise PositivityError(
             f"decoherence matrix is not Hermitian (defect {hermitian_defect:.3e}); "
@@ -223,8 +208,8 @@ def to_standard_form(gamma, f) -> StandardForm:
     With gamma = U diag(rates) U^dag, the returned operator rows are U^T f,
     so that the weighted sum of pair dissipators over (gamma, f) equals the
     sum of ordinary dissipators over the returned (rate, row) list.
-    Eigenvalues in [-VALIDATION_TOL, 0) scaled by the matrix magnitude are
-    clamped to zero; anything lower raises.
+    Eigenvalues in [-slack, 0) are clamped to zero; anything lower raises,
+    as does a Hermitian defect over the slack.
     """
     gamma = require_square(gamma, "Gamma")
     f = np.asarray(f, dtype=complex)
@@ -232,8 +217,9 @@ def to_standard_form(gamma, f) -> StandardForm:
         raise StructuralError(
             f"F must have one row per Gamma row ({gamma.shape[0]}), got shape {f.shape}"
         )
-    evals, vecs = np.linalg.eigh(0.5 * (gamma + gamma.conj().T))
-    _require_positive(max_abs(gamma - gamma.conj().T), np.min(evals), gamma)
+    gamma_h, defect = part_and_defect(gamma)
+    evals, vecs = np.linalg.eigh(gamma_h)
+    _require_positive(defect, np.min(evals), gamma)
     rates = np.clip(evals, 0.0, None)
     rows = vecs.T @ f
 

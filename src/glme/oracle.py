@@ -38,7 +38,7 @@ import scipy.sparse as sp
 from scipy.linalg import expm
 
 from . import lyapunov
-from ._util import max_abs, require_finite
+from ._util import exact_part, max_abs, require_finite, slack
 from .errors import DomainError, NumericalError, StructuralError, TruncationError
 from .model import BOSONIC, FERMIONIC, GeneralizedLindbladModel, require_valid
 
@@ -849,8 +849,7 @@ def dense_negativity_bosonic(rho: np.ndarray, dims: tuple[int, int]) -> float:
     d1, d2 = dims
     if rho.shape != (d1 * d2, d1 * d2):
         raise StructuralError(f"state must be {(d1 * d2, d1 * d2)}, got {rho.shape}")
-    if max_abs(rho - rho.conj().T) > 1e-10 * max(1.0, max_abs(rho)):
-        raise StructuralError("state must be Hermitian")
+    rho = exact_part(rho, "state")
     pt = rho.reshape(d1, d2, d1, d2).transpose(0, 3, 2, 1).reshape(d1 * d2, d1 * d2)
     eigs = np.linalg.eigvalsh(pt)
     return float(np.log(np.sum(np.abs(eigs))))
@@ -866,6 +865,7 @@ def dense_negativity_fermionic(rho: np.ndarray) -> float:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise StructuralError(f"expected a two-mode (4x4) state, got shape {rho.shape}")
+    rho = exact_part(rho, "state")
     w = jordan_wigner_majoranas(2)
     transformed = np.zeros((4, 4), dtype=complex)
     odd_weight = 0.0
@@ -882,7 +882,7 @@ def dense_negativity_fermionic(rho: np.ndarray) -> float:
             continue
         phase = 1j ** (bits[2] + bits[3])
         transformed += coeff * phase * monomial
-    if odd_weight > 1e-10 * max(1.0, max_abs(rho)):
+    if odd_weight > slack(rho):
         raise DomainError(
             f"state is not parity even (odd Majorana weight {odd_weight:.3e})"
         )
@@ -931,7 +931,7 @@ def fermionic_gibbs_state(kernel, n_modes: int) -> np.ndarray:
     """
     from .fermionic import GibbsKernel
 
-    k = kernel.k if isinstance(kernel, GibbsKernel) else np.asarray(kernel, dtype=float)
+    k = (kernel if isinstance(kernel, GibbsKernel) else GibbsKernel(kernel)).k
     if k.shape != (2 * n_modes, 2 * n_modes):
         raise StructuralError(f"kernel must be {2 * n_modes}x{2 * n_modes}, got {k.shape}")
     w = jordan_wigner_majoranas(n_modes)

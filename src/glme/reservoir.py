@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._util import max_abs
+from ._util import max_abs, slack
 from .errors import EvaluationError, NumericalError, PositivityError, StructuralError
 from .model import (
     BOSONIC,
@@ -323,7 +323,7 @@ def build_model(rates: RateSet, table: CouplingTable,
     else:
         ham_c = -1j * (m - m.T)
     imag_defect = max_abs(ham_c.imag)
-    if imag_defect > 1e-10 * max(1.0, max_abs(ham_c)):
+    if imag_defect > slack(ham_c):
         raise NumericalError(
             f"assembled hamiltonian failed to be real (defect {imag_defect:.3e})",
             residual=imag_defect,

@@ -487,7 +487,8 @@ class TestPhysicalityAndPurity:
         omega = np.zeros((6, 6))
         for j in range(3):
             omega[2 * j, 2 * j + 1], omega[2 * j + 1, 2 * j] = 1.0, -1.0
-        expected = float(np.min(np.linalg.eigvalsh(v + 1j * omega)))
+        # the margin is read of V's symmetric part, not of its lower triangle
+        expected = float(np.min(np.linalg.eigvalsh(0.5 * (v + v.T) + 1j * omega)))
         assert bosonic.check_physicality(v)[1] == expected
 
     def test_thermal_physical(self):

@@ -258,6 +258,16 @@ class TestEntanglement:
         assert result.exit_code == 0
         assert json.loads(result.output)["value"] == pytest.approx(np.log(2.0), abs=1e-8)
 
+    def test_state_file_not_an_object_is_a_parse_error(self, runner, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        result = runner.invoke(main, ["entanglement", "--state", str(path), "--measure", "logneg"])
+        assert result.exit_code == 2
+        error = json.loads(result.stderr)
+        assert error["error"] is True
+        assert error["code"] == "parse"
+        assert "top level must be a JSON object" in error["detail"]
+
     def test_single_mode_rejected(self, runner, tmp_path):
         path = str(tmp_path / "one.json")
         io.save_state(bosonic.GaussianState(np.zeros(2), np.eye(2)), path)

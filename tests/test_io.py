@@ -78,6 +78,17 @@ class TestModelFiles:
         assert loaded.flavor == "fermionic"
         assert np.max(np.abs(loaded.gamma - m.gamma)) == 0.0
 
+    def test_complex_matrices_render_as_per_number_pairs(self, rng):
+        # model files render F and Gamma through dumps's one-% template path
+        for _ in range(50):
+            shape = tuple(rng.integers(0, 4, size=2))
+            parts = rng.standard_normal((2, *shape)) * 10.0 ** rng.uniform(-300, 300, size=(2, *shape))
+            matrix = parts[0] + 1j * parts[1]
+            if matrix.size:
+                matrix.flat[0] = complex(-0.0, 5e-324)
+            pairs = [[[v.real, v.imag] for v in row] for row in matrix.tolist()]
+            assert io.dumps(io._complex_pairs(matrix)) == _reference_render(pairs)
+
     def test_ladder_basis_flag(self, tmp_path):
         m = damped_oscillator_model()
         payload = io.model_payload(m)
@@ -132,6 +143,13 @@ class TestStateFiles:
         path = tmp_path / "state.json"
         path.write_text('{"kind": "anyonic"}')
         with pytest.raises(ParseError, match="kind"):
+            io.load_state(str(path))
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "3.5", '"bosonic"', "null"])
+    def test_top_level_not_an_object(self, tmp_path, text):
+        path = tmp_path / "state.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="top level must be a JSON object"):
             io.load_state(str(path))
 
 
