@@ -10,6 +10,9 @@ from .errors import StructuralError
 # or positive semidefinite may miss by SYMMETRY_TOL * max(1, max|m|), ``slack``;
 # what is accepted is read as its exact part.
 SYMMETRY_TOL = 1e-10
+# Largest max|m| whose exact part 0.5 (m + m^dag) cannot overflow: at DBL_MAX / 2
+# the sum is at most DBL_MAX, and halving it is exact.
+PART_LIMIT = np.finfo(float).max / 2
 
 # Coefficients b_0..b_13 of the Pade [13/13] approximant of exp (Higham, SIAM
 # J. Matrix Anal. Appl. 26:1179, 2005).
@@ -43,30 +46,47 @@ def max_abs(m) -> float:
     return float(np.abs(arr).max()) if arr.size else 0.0
 
 
+# The ndarray method, not np.swapaxes: the function costs about 0.5 us a call,
+# which a 1001-step propagation pays once per step.
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
+    """Symmetric part over the last two axes, of one matrix or a stack."""
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 def antisymmetrize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m - m.T)
+    """Antisymmetric part over the last two axes, of one matrix or a stack."""
+    return 0.5 * (m - m.swapaxes(-1, -2))
+
+
+def _slack_of(scale: float) -> float:
+    return SYMMETRY_TOL * max(1.0, scale)
 
 
 def slack(m) -> float:
     """Largest defect, or negative eigenvalue, accepted of ``m`` by the one rule."""
-    return SYMMETRY_TOL * max(1.0, max_abs(m))
+    return _slack_of(max_abs(m))
 
 
-def part_and_defect(m: np.ndarray, antisymmetric: bool = False) -> tuple[np.ndarray, float]:
-    """(Anti-)Hermitian part over the last two axes, and its defect max|m -+ m^dag|; no check."""
-    m_dag = np.swapaxes(m, -1, -2).conj()   # conj of a real array is the array itself
+def part_and_defect(m: np.ndarray, antisymmetric: bool = False) -> tuple[np.ndarray, float, float]:
+    """(Anti-)Hermitian part over the last two axes, its defect max|m -+ m^dag| and ``slack(m)``.
+
+    The defect is not checked against the slack. An ``m`` with max|m| over
+    PART_LIMIT raises StructuralError carrying max|m|, since its part could
+    overflow to inf.
+    """
+    scale = max_abs(m)
+    if scale > PART_LIMIT:
+        raise StructuralError(f"matrix entries too large for an exact part (max|m| {scale:.3e} "
+                              f"exceeds {PART_LIMIT:.3e})", max_abs=scale)
+    m_dag = m.swapaxes(-1, -2).conj()   # conj of a real array is the array itself
     defect_op, part_op = (np.add, np.subtract) if antisymmetric else (np.subtract, np.add)
-    return 0.5 * part_op(m, m_dag), max_abs(defect_op(m, m_dag))
+    return 0.5 * part_op(m, m_dag), max_abs(defect_op(m, m_dag)), _slack_of(scale)
 
 
 def exact_part(m: np.ndarray, name: str, antisymmetric: bool = False) -> np.ndarray:
     """``part_and_defect``'s part, after raising StructuralError for a defect over the slack."""
-    part, defect = part_and_defect(m, antisymmetric)
-    if defect > slack(m):
+    part, defect, bound = part_and_defect(m, antisymmetric)
+    if defect > bound:
         kind = "antisymmetric" if antisymmetric else "Hermitian" if np.iscomplexobj(m) else "symmetric"
         raise StructuralError(f"{name} must be {kind} (defect {defect:.3e})")
     return part

@@ -68,7 +68,11 @@ class GaussianState:
 
 @dataclass(frozen=True)
 class BosonicDriftDiffusion:
-    """Drift matrix ``a`` and diffusion matrix ``d`` of the moment dynamics."""
+    """Drift matrix ``a`` and diffusion matrix ``d`` of the moment dynamics.
+
+    Both are read-only arrays the record owns, so ``spectral_abscissa`` is
+    computed once and read by ``is_hurwitz`` and ``steady_state`` alike.
+    """
 
     a: np.ndarray
     d: np.ndarray
@@ -76,20 +80,24 @@ class BosonicDriftDiffusion:
     def __post_init__(self):
         a = require_square(self.a, "A", dtype=float)
         d = require_matrix(self.d, "D", shape=a.shape, dtype=float)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "d", exact_part(d, "D"))
+        object.__setattr__(self, "a", read_only(a.copy()))
+        object.__setattr__(self, "d", read_only(exact_part(d, "D")))
 
     @classmethod
     def _trusted(cls, a: np.ndarray, d: np.ndarray) -> "BosonicDriftDiffusion":
-        """Wrap float arrays already checked by their builder, skipping ``__post_init__``."""
+        """Wrap float arrays already checked by their builder, which hands them over."""
         dd = object.__new__(cls)
-        object.__setattr__(dd, "a", a)
-        object.__setattr__(dd, "d", d)
+        object.__setattr__(dd, "a", read_only(a))
+        object.__setattr__(dd, "d", read_only(d))
         return dd
 
     @property
     def n_modes(self) -> int:
         return self.a.shape[0] // 2
+
+    @cached_property
+    def spectral_abscissa(self) -> float:
+        return lyapunov.spectral_abscissa(self.a)
 
 
 @dataclass(frozen=True)
@@ -203,13 +211,13 @@ def propagate_covariance(dd: BosonicDriftDiffusion, v0, times,
 
 def is_hurwitz(dd: BosonicDriftDiffusion) -> tuple[bool, float]:
     """Whether the drift matrix is stable, plus its spectral abscissa."""
-    return lyapunov.is_hurwitz_matrix(dd.a)
+    return lyapunov.is_stable(dd.spectral_abscissa), dd.spectral_abscissa
 
 
 def steady_state(dd: BosonicDriftDiffusion) -> GaussianState:
     """Unique fixed point of the moment dynamics for a Hurwitz drift."""
     # the backward-error gate rejects non-finite solutions and symmetrize makes V exact
-    v = lyapunov.steady_state(dd.a, dd.d, symmetrize)
+    v = lyapunov.steady_state(dd.a, dd.d, dd.spectral_abscissa, symmetrize)
     return GaussianState._trusted(read_only(np.zeros(dd.a.shape[0])), read_only(v))
 
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 domain or physics failure, 2 input or parse
 failure. Every error path emits a machine-readable JSON object
-{"error", "code", "detail"} on stderr. ``validate`` and ``assemble`` load no
+{"error", "code", "detail"} on stderr. ``validate``, ``assemble``, ``evolve``
+and, up to four modes, ``steady-state`` and ``entanglement --model`` load no
 scipy; only ``oracle-check`` imports ``oracle`` and so scipy.sparse.
 """
 
@@ -161,14 +162,13 @@ def steady_state_cmd(model_path):
     """Solve for the steady state and report the residual."""
     model = io.load_model(model_path)
     module, dd = _dynamics(model)
-    _, abscissa = module.is_hurwitz(dd)
     state = module.steady_state(dd)
     if model.flavor == BOSONIC:
         key, x, a, q = "V_ss", state.v, dd.a, dd.d
     else:
         key, x, a, q = "sigma_ss", state.sigma, dd.x, dd.y
     residual = float(np.max(np.abs(a @ x + x @ a.T + q)))
-    _emit({key: x, "residual": residual, "spectral_abscissa": abscissa})
+    _emit({key: x, "residual": residual, "spectral_abscissa": dd.spectral_abscissa})
 
 
 @main.command()

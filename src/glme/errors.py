@@ -6,7 +6,14 @@ class GlmeError(Exception):
 
 
 class StructuralError(GlmeError):
-    """Malformed input: wrong shape, inconsistent dimensions, bad tokens."""
+    """Malformed input: wrong shape, inconsistent dimensions, bad tokens.
+
+    May carry ``max_abs``, the largest entry of a matrix too large to read.
+    """
+
+    def __init__(self, message: str, max_abs: float | None = None):
+        super().__init__(message)
+        self.max_abs = max_abs
 
 
 class ParseError(GlmeError):

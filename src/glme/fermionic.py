@@ -12,11 +12,20 @@ Gibbs kernel and its inverse) comes from one ``eigh`` of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import lyapunov
-from ._util import antisymmetrize, exact_part, max_abs, read_only, require_square, require_squares
+from ._util import (
+    antisymmetrize,
+    exact_part,
+    max_abs,
+    read_only,
+    require_finite,
+    require_square,
+    require_squares,
+)
 from .bosonic import Trajectory
 from .errors import BoundaryError, StructuralError
 from .model import FERMIONIC, GeneralizedLindbladModel, drift_matrices
@@ -57,7 +66,11 @@ class FermionicGaussianState:
 
 @dataclass(frozen=True)
 class FermionicDriftDiffusion:
-    """Drift matrix ``x`` and antisymmetric diffusion matrix ``y``."""
+    """Drift matrix ``x`` and antisymmetric diffusion matrix ``y``.
+
+    Both are read-only arrays the record owns, so ``spectral_abscissa`` is
+    computed once and read by ``is_hurwitz`` and ``steady_state`` alike.
+    """
 
     x: np.ndarray
     y: np.ndarray
@@ -67,12 +80,24 @@ class FermionicDriftDiffusion:
         y = require_square(self.y, "Y", dtype=float)
         if y.shape != x.shape:
             raise StructuralError("X and Y must have matching shapes")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", exact_part(y, "Y", antisymmetric=True))
+        object.__setattr__(self, "x", read_only(x.copy()))
+        object.__setattr__(self, "y", read_only(exact_part(y, "Y", antisymmetric=True)))
+
+    @classmethod
+    def _trusted(cls, x: np.ndarray, y: np.ndarray) -> "FermionicDriftDiffusion":
+        """Wrap float arrays already checked by their builder, which hands them over."""
+        dd = object.__new__(cls)
+        object.__setattr__(dd, "x", read_only(x))
+        object.__setattr__(dd, "y", read_only(y))
+        return dd
 
     @property
     def n_modes(self) -> int:
         return self.x.shape[0] // 2
+
+    @cached_property
+    def spectral_abscissa(self) -> float:
+        return lyapunov.spectral_abscissa(self.x)
 
 
 @dataclass(frozen=True)
@@ -95,12 +120,13 @@ def build_drift_diffusion(model: GeneralizedLindbladModel) -> FermionicDriftDiff
     transpose mirrors the bosonic construction: it is fixed by the
     requirement that diagonalizing the decoherence matrix leaves the
     dynamics unchanged, and is validated against dense brute-force moment
-    derivatives.
+    derivatives. The arrays built here are only tested for overflow.
     """
     if model.flavor != FERMIONIC:
         raise StructuralError(f"expected a fermionic model, got {model.flavor!r}")
     ham, s = drift_matrices(model)
-    return FermionicDriftDiffusion(x=ham - s.real, y=antisymmetrize(-2.0 * s.imag))
+    return FermionicDriftDiffusion._trusted(require_finite(ham - s.real, "X"),
+                                            require_finite(antisymmetrize(-2.0 * s.imag), "Y"))
 
 
 def propagate_covariance(dd: FermionicDriftDiffusion, sigma0, times,
@@ -118,13 +144,14 @@ def propagate_covariance(dd: FermionicDriftDiffusion, sigma0, times,
 
 
 def is_hurwitz(dd: FermionicDriftDiffusion) -> tuple[bool, float]:
-    return lyapunov.is_hurwitz_matrix(dd.x)
+    """Whether the drift matrix is stable, plus its spectral abscissa."""
+    return lyapunov.is_stable(dd.spectral_abscissa), dd.spectral_abscissa
 
 
 def steady_state(dd: FermionicDriftDiffusion) -> FermionicGaussianState:
     """Fixed point of the covariance dynamics for a Hurwitz drift."""
     # the backward-error gate rejects non-finite solutions and antisymmetrize makes sigma exact
-    sigma = lyapunov.steady_state(dd.x, dd.y, antisymmetrize)
+    sigma = lyapunov.steady_state(dd.x, dd.y, dd.spectral_abscissa, antisymmetrize)
     return FermionicGaussianState._trusted(read_only(sigma))
 
 

@@ -123,15 +123,15 @@ class GeneralizedLindbladModel:
 
 def _checked(model: GeneralizedLindbladModel) -> tuple[ValidationReport, np.ndarray, np.ndarray]:
     """The validation report, H's exact (anti)symmetric part and Gamma's Hermitian part."""
-    gamma_h, hermitian_defect = part_and_defect(model.gamma)
+    gamma_h, hermitian_defect, gamma_slack = part_and_defect(model.gamma)
     min_eig = float(np.linalg.eigvalsh(gamma_h).min()) if gamma_h.shape[0] > 0 else 0.0
-    ham, ham_defect = part_and_defect(model.hamiltonian, antisymmetric=model.flavor != BOSONIC)
+    ham, ham_defect, ham_slack = part_and_defect(model.hamiltonian,
+                                                 antisymmetric=model.flavor != BOSONIC)
     report = ValidationReport(
         hermitian_defect=hermitian_defect,
         min_gamma_eigenvalue=min_eig,
         hamiltonian_symmetry_defect=ham_defect,
-        is_valid=(max(hermitian_defect, -min_eig) <= slack(model.gamma)
-                  and ham_defect <= slack(model.hamiltonian)),
+        is_valid=max(hermitian_defect, -min_eig) <= gamma_slack and ham_defect <= ham_slack,
     )
     return report, ham, gamma_h
 
@@ -146,9 +146,8 @@ def validate_model(model: GeneralizedLindbladModel) -> ValidationReport:
     return _checked(model)[0]
 
 
-def _require_positive(hermitian_defect: float, min_eigenvalue: float, gamma: np.ndarray):
-    """Raise unless the decoherence matrix is Hermitian and PSD to within its slack."""
-    bound = slack(gamma)
+def _require_positive(hermitian_defect: float, min_eigenvalue: float, bound: float):
+    """Raise unless the decoherence matrix is Hermitian and PSD to within its slack ``bound``."""
     if hermitian_defect > bound:
         raise PositivityError(
             f"decoherence matrix is not Hermitian (defect {hermitian_defect:.3e}); "
@@ -170,7 +169,7 @@ def require_valid(model: GeneralizedLindbladModel) -> tuple[np.ndarray, np.ndarr
     report, ham, gamma = _checked(model)
     if report.is_valid:
         return ham, gamma
-    _require_positive(report.hermitian_defect, report.min_gamma_eigenvalue, model.gamma)
+    _require_positive(report.hermitian_defect, report.min_gamma_eigenvalue, slack(model.gamma))
     symmetry = "symmetric" if model.flavor == BOSONIC else "antisymmetric"
     raise StructuralError(
         f"{model.flavor} hamiltonian matrix must be {symmetry} "
@@ -217,9 +216,10 @@ def to_standard_form(gamma, f) -> StandardForm:
         raise StructuralError(
             f"F must have one row per Gamma row ({gamma.shape[0]}), got shape {f.shape}"
         )
-    gamma_h, defect = part_and_defect(gamma)
+    gamma_h, defect, bound = part_and_defect(gamma)
     evals, vecs = np.linalg.eigh(gamma_h)
-    _require_positive(defect, np.min(evals), gamma)
+    # initial=0.0: no channels is a valid model with an empty standard form
+    _require_positive(defect, np.min(evals, initial=0.0), bound)
     rates = np.clip(evals, 0.0, None)
     rows = vecs.T @ f
 

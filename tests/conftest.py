@@ -28,6 +28,13 @@ def damped_oscillator_model(gamma=0.5, omega=2.0, nbar=0.0):
     return make_bosonic_model(1, omega * np.eye(2), f, gam)
 
 
+def damped_modes_model(n_modes, gamma=0.5, omega=2.0, nbar=0.2):
+    """``n_modes`` uncoupled copies of ``damped_oscillator_model``."""
+    f = model.ladder_to_canonical(np.eye(2 * n_modes, dtype=complex), "bosonic")
+    gam = np.diag([gamma * (nbar + 1.0)] * n_modes + [gamma * nbar] * n_modes).astype(complex)
+    return make_bosonic_model(n_modes, omega * np.eye(2 * n_modes), f, gam)
+
+
 def fermionic_decay_model(gamma=0.5, omega=0.0):
     """Single fermionic mode with plain decay."""
     g = np.array([[0.0, -omega], [omega, 0.0]])

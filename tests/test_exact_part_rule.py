@@ -147,6 +147,20 @@ def test_stack_with_one_bad_member(flavor):
         check(over)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_exact_part_at_the_overflow_limit():
+    # at max|m| = DBL_MAX / 2 the exact part keeps every bit; one ulp over, 0.5 (m + mT) could
+    # overflow, and stored inf with only a RuntimeWarning before
+    limit = np.finfo(float).max / 2
+    assert limit == _util.PART_LIMIT
+    v = np.array([[limit, 0.0], [0.0, 1.0]])
+    assert bosonic.GaussianState(np.zeros(2), v).v.tobytes() == v.tobytes()
+    over = np.nextafter(limit, np.inf)
+    with pytest.raises(StructuralError, match="max\\|m\\| 8.988e\\+307") as err:
+        bosonic.GaussianState(np.zeros(2), [[over, 0.0], [0.0, 1.0]])
+    assert err.value.max_abs == over
+
+
 class TestReproducers:
     """Raw inputs that read as valid before the rule covered them."""
 

@@ -17,7 +17,13 @@ import pytest
 import glme
 from glme import fermionic, io
 
-from conftest import bell_pair_sigma, damped_oscillator_model, fermionic_decay_model
+from conftest import (
+    bell_pair_sigma,
+    damped_modes_model,
+    damped_oscillator_model,
+    fermionic_decay_model,
+    near_dark_pair_model,
+)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -90,10 +96,21 @@ class TestColdStart:
         assert _fresh(_CLI_PROBE, "assemble", "--couplings", str(couplings),
                       "--spectral", str(spectral), "--output", out) == []
 
-    def test_steady_state_loads_no_scipy_sparse(self, model_file):
-        loaded = _fresh(_CLI_PROBE, "steady-state", "--model", model_file)
+    def test_small_steady_state_loads_no_scipy(self, model_file):
+        # up to four modes the fixed point is a numpy Kronecker solve
+        assert _fresh(_CLI_PROBE, "steady-state", "--model", model_file) == []
+
+    def test_five_mode_steady_state_loads_scipy_linalg_only(self, tmp_path):
+        path = str(tmp_path / "five.json")
+        io.save_model(damped_modes_model(5), path)
+        loaded = _fresh(_CLI_PROBE, "steady-state", "--model", path)
         assert "scipy.linalg" in loaded
         assert _sparse(loaded) == []
+
+    def test_model_entanglement_loads_no_scipy(self, tmp_path):
+        path = str(tmp_path / "pair.json")
+        io.save_model(near_dark_pair_model(0.1), path)
+        assert _fresh(_CLI_PROBE, "entanglement", "--model", path, "--measure", "logneg") == []
 
     @pytest.mark.parametrize("fermionic", [False, True])
     def test_evolve_loads_no_scipy(self, model_file, tmp_path, fermionic):

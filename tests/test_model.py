@@ -181,6 +181,13 @@ class TestToStandardForm:
         with pytest.raises(PositivityError, match="Hermitian"):
             model.to_standard_form(gamma, np.eye(2, dtype=complex))
 
+    def test_no_channels_gives_empty_form(self):
+        # validate_model accepts a model without channels; its standard form is empty
+        m = glme.GeneralizedLindbladModel("bosonic", 2, np.eye(4), np.zeros((0, 4)), np.zeros((0, 0)))
+        assert model.validate_model(m).is_valid
+        sf = model.to_standard_form(m.gamma, m.f)
+        assert sf.rates.shape == (0,) and sf.operator_rows.shape == (0, 4)
+
     def test_drift_diffusion_cross_path(self, rng):
         # diagonalized channels must reproduce the same moment dynamics
         for _ in range(20):
