@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bosonic, fermionic
+from ._util import require_finite
 from .errors import NumericalError, StructuralError
 from .model import symplectic_form
 
@@ -54,6 +55,7 @@ def duan_bosonic(state, alpha: float = 1.0, beta: float = -1.0) -> DuanResult:
     v = bosonic._as_symmetric(state)
     if v.shape[0] != 4:
         raise StructuralError(f"Duan criterion needs exactly two modes, got shape {v.shape}")
+    require_finite(np.array([alpha, beta], dtype=float), "Duan coefficients")
     # Var(x_j) = V[j, j] / 2 and Cov(x_j, x_k) = V[j, k] / 2 in this convention.
     var_u = 0.5 * (alpha ** 2 * v[0, 0] + beta ** 2 * v[2, 2] + 2.0 * alpha * beta * v[0, 2])
     var_v = 0.5 * (alpha ** 2 * v[1, 1] + beta ** 2 * v[3, 3] - 2.0 * alpha * beta * v[1, 3])
@@ -146,6 +148,7 @@ def duan_fermionic(sigma, alpha: float = 1.0, beta: float = 1.0) -> DuanResult:
     sigma = fermionic._as_antisymmetric(sigma)
     if sigma.shape[0] != 4:
         raise StructuralError(f"Duan criterion needs exactly two modes, got shape {sigma.shape}")
+    require_finite(np.array([alpha, beta], dtype=float), "Duan coefficients")
     moments = 0.5 * np.eye(4)  # symmetrized Majorana second moments, state independent
     var_u = alpha ** 2 * moments[0, 0] + beta ** 2 * moments[2, 2] + 2.0 * alpha * beta * moments[0, 2]
     var_v = alpha ** 2 * moments[1, 1] + beta ** 2 * moments[3, 3] - 2.0 * alpha * beta * moments[1, 3]

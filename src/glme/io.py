@@ -186,7 +186,7 @@ def load_model(path: str) -> GeneralizedLindbladModel:
     data = _load_json(path)
     with _parsing(path):
         kind = data["kind"]
-        n_modes = int(data["n_modes"])
+        n_modes = data["n_modes"]
         hamiltonian = _real_matrix(data["hamiltonian"], "hamiltonian")
         f = _complex_matrix(data["F"], "F")
         gamma = _complex_matrix(data["Gamma"], "Gamma")

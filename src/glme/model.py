@@ -47,6 +47,17 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return omega
 
 
+def _mode_count(n) -> int:
+    """``n`` as an int; a bool, or a value that no int equals, raises StructuralError."""
+    try:
+        count = int(n)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if isinstance(n, (bool, np.bool_)) or count is None or count != n:
+        raise StructuralError(f"n_modes must be an integer, got {n!r}")
+    return count
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Numeric defects of a model against its positivity and symmetry invariants."""
@@ -99,9 +110,10 @@ class GeneralizedLindbladModel:
     def __post_init__(self):
         if self.flavor not in FLAVORS:
             raise StructuralError(f"unknown flavor {self.flavor!r}, expected one of {FLAVORS}")
-        if int(self.n_modes) < 1:
+        n_modes = _mode_count(self.n_modes)
+        if n_modes < 1:
             raise StructuralError("n_modes must be at least 1")
-        n2 = 2 * int(self.n_modes)
+        n2 = 2 * n_modes
         ham = require_matrix(self.hamiltonian, "hamiltonian", (n2, n2), dtype=float)
         f = np.asarray(self.f, dtype=complex)
         if f.ndim != 2 or f.shape[1] != n2:
@@ -111,7 +123,7 @@ class GeneralizedLindbladModel:
             raise StructuralError(
                 f"Gamma is {gamma.shape[0]}x{gamma.shape[0]} but F has {f.shape[0]} rows"
             )
-        object.__setattr__(self, "n_modes", int(self.n_modes))
+        object.__setattr__(self, "n_modes", n_modes)
         object.__setattr__(self, "hamiltonian", ham)
         object.__setattr__(self, "f", require_matrix(f, "F"))
         object.__setattr__(self, "gamma", gamma)
@@ -211,8 +223,8 @@ def to_standard_form(gamma, f) -> StandardForm:
     as does a Hermitian defect over the slack.
     """
     gamma = require_square(gamma, "Gamma")
-    f = np.asarray(f, dtype=complex)
-    if f.ndim != 2 or f.shape[0] != gamma.shape[0]:
+    f = require_matrix(f, "F")
+    if f.shape[0] != gamma.shape[0]:
         raise StructuralError(
             f"F must have one row per Gamma row ({gamma.shape[0]}), got shape {f.shape}"
         )

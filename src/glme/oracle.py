@@ -19,11 +19,10 @@ channels never changes the parity of m + n in |m><n|; the Jordan-Wigner
 parities for fermions). Evolution finds the unions of its invariant sectors,
 closed under pi, from the Kronecker factors of S, assembles only the rows
 m <= n of those that the initial state occupies, straight into CSR order,
-and propagates there: by Arnoldi steps on R in operator form with Expokit's
-error estimate at any dimension, or for small dimensions by one dense real
-exponential of R per union. Weight below the rounding floor
-dim * eps * ||rho0||, in a union or in the anti-Hermitian part of rho0,
-stays exactly zero. Moments are read as traces
+and propagates there by Arnoldi steps on R in operator form, with Expokit's
+error estimate (Sidje, ACM TOMS 24:130, 1998), at any dimension. Weight
+below the rounding floor dim * eps * ||rho0||, in a union or in the
+anti-Hermitian part of rho0, stays exactly zero. Moments are read as traces
 Tr(a rho) = sum_ij a_ij rho_ji over the stored entries of a, kept once per
 engine, in O(nnz(a)), with no matrix product formed.
 """
@@ -43,7 +42,6 @@ from .errors import DomainError, NumericalError, StructuralError, TruncationErro
 from .model import BOSONIC, FERMIONIC, GeneralizedLindbladModel, require_valid
 
 _DENSE_CUTOFF = 64          # below this dimension plain ndarrays beat sparse
-_SUPEROP_CUTOFF = 32        # largest dimension for dense superoperator exponentials
 _MAX_DENSE_DIM = 4096
 _TRUNCATION_THRESHOLD = 1e-8  # largest top-two Fock level population check_truncation allows
 _CHECK_SAMPLES = 4          # random states per preservation check
@@ -267,14 +265,6 @@ class _RealGenerator:
         vec[self.upper] = _SQRT_HALF * (x + 1j * y)
         vec[self.lower] = _SQRT_HALF * (x - 1j * y)
 
-    def dense(self) -> np.ndarray:
-        """R = Re(Q H' W) as a dense real matrix, from one scatter of the rows."""
-        h = self.rows.toarray()
-        nd, nr = self.n_diag, self.n_rows
-        hw = np.concatenate([h[:, :nd], h[:, nd:nr] + h[:, nr:], 1j * (h[:, nd:nr] - h[:, nr:])],
-                            axis=1)
-        return np.concatenate([hw.real, hw[nd:].imag])
-
     def product(self, c: np.ndarray) -> np.ndarray:
         """R c for a real vector c, or for each real column of c: one complex CSR product."""
         nd, nr = self.n_diag, self.n_rows
@@ -309,7 +299,6 @@ class _DenseEngine:
     gamma: np.ndarray
     basis_ops: list
     basis_rows: np.ndarray
-    mix_channels: bool = False
 
     def _finalize(self):
         f_dags = [_dagger(f) for f in self.f_ops]
@@ -327,19 +316,8 @@ class _DenseEngine:
         Grouping the double sum sum_jk gamma[j, k] F_j rho F_k^dag along the
         rows of the decoherence matrix gives B_j = sum_k gamma[j, k] F_k^dag:
         one pair per nonzero row, so M sandwiches however the channels are
-        coupled, without diagonalizing the decoherence matrix. With
-        ``mix_channels`` the Hermitian decoherence matrix is eigendecomposed
-        instead, one (rate * op, op^dag) pair per nonzero rate. Both are the
-        same linear map (pinned by a test); the superoperator uses neither.
+        coupled, without diagonalizing the decoherence matrix.
         """
-        if self.mix_channels:
-            evals, vecs = np.linalg.eigh(self.gamma)
-            pairs = []
-            for rate, vec in zip(evals, vecs.T):
-                if abs(rate) >= 1e-14:
-                    op = _combine(vec, self.f_ops, self._zero)
-                    pairs.append((float(rate) * op, _dagger(op)))
-            return pairs
         return [(f, _combine(row, f_dags, self._zero))
                 for f, row in zip(self.f_ops, self.gamma) if np.any(row != 0)]
 
@@ -390,36 +368,28 @@ class _DenseEngine:
     def evolve(self, rho0: np.ndarray, times, method: str = "krylov") -> list[np.ndarray]:
         """Propagate the master equation through the grid; first time is rho0.
 
-        Both methods evolve only the unions of invariant sectors of the
-        superoperator S, closed under |m><n| -> |n><m| (``_union_labels``),
-        that rho0 occupies. A union where the 2-norm of rho0 is at most the
-        rounding floor dim * eps * ||rho0||, below the rounding error of
-        forming such a state by matrix products, counts as empty and is zero
-        in every returned state. On each union only the rows m <= n of S are
-        assembled, as the real matrix R of ``_RealGenerator``, and rho0 is two
-        real columns of coordinates: its Hermitian part and its anti-Hermitian
-        part (rho0 - rho0^dag) / 2i. The second column is evolved only when
-        its norm is above the same floor and is otherwise exactly zero, so a
-        Hermitian rho0 gives exactly Hermitian states. "krylov" takes Arnoldi
-        steps on all occupied unions at once (``_expv``), one complex sparse
-        product with the rows per basis vector, at any dimension. "expm", up
-        to dimension 32, takes one dense real exponential of R per union and
-        distinct step. Every returned state is its own array; the first is rho0.
+        Only the unions of invariant sectors of the superoperator S, closed
+        under |m><n| -> |n><m| (``_union_labels``), that rho0 occupies are
+        evolved. A union where the 2-norm of rho0 is at most the rounding
+        floor dim * eps * ||rho0||, below the rounding error of forming such
+        a state by matrix products, counts as empty and is zero in every
+        returned state. On the occupied unions together only the rows m <= n
+        of S are assembled, as the real matrix R of ``_RealGenerator``, and
+        rho0 is two real columns of coordinates: its Hermitian part and its
+        anti-Hermitian part (rho0 - rho0^dag) / 2i. The second column is
+        evolved only when its norm is above the same floor and is otherwise
+        exactly zero, so a Hermitian rho0 gives exactly Hermitian states.
+        Each column takes Arnoldi steps (``_expv``), one complex sparse
+        product with the rows per basis vector. ``method`` names that one
+        path, as "krylov" or "expm"; any other name raises. Every returned
+        state is its own array; the first is rho0.
         """
         times = lyapunov.validate_times(times)
         rho0 = require_finite(np.asarray(rho0, dtype=complex), "rho0")
         if rho0.shape != (self.dim, self.dim):
             raise StructuralError(f"state must be {self.dim}x{self.dim}, got {rho0.shape}")
-        if method == "expm":
-            if self.dim > _SUPEROP_CUTOFF:
-                raise StructuralError(
-                    f"dense superoperator exponential limited to dimension {_SUPEROP_CUTOFF}, "
-                    f"got {self.dim}"
-                )
-            run = _expm_path
-        elif method == "krylov":
-            run = _krylov_path
-        else:
+        # "expm" is an alias of the one path, kept for perfbench/workloads.py
+        if method not in ("krylov", "expm"):
             raise StructuralError(f"unknown dense integration method {method!r}")
         # The assembled rows live for this call only: at two modes and fock_dim
         # 16 they take about 10 MB per parity, which callers holding engines
@@ -430,35 +400,18 @@ class _DenseEngine:
         floor = self.dim * np.finfo(float).eps * np.linalg.norm(vec)
         scale = max_abs(vec) or 1.0     # the 2-norm of each union, with no square underflowing
         occupied = scale * np.sqrt(np.bincount(labels, weights=np.abs(vec / scale) ** 2)) > floor
-        if method == "krylov":
-            unions = [np.flatnonzero(occupied[labels])] if occupied.any() else []
-        else:
-            unions = [np.flatnonzero(labels == c) for c in np.flatnonzero(occupied)]
-        gens = [_RealGenerator(terms, self.dim, idx) for idx in unions]
-        coords = [gen.coords(vec) for gen in gens]
-        anti = math.hypot(*(np.linalg.norm(c.imag) for c in coords), 0.0) > floor
-        paths = [run(gen, np.column_stack([c.real, c.imag]) if anti else c.real, times)
-                 for gen, c in zip(gens, coords)]
         out = [rho0]
-        for k in range(times.size - 1):
+        if not occupied.any():
+            return out + [np.zeros_like(rho0) for _ in range(times.size - 1)]
+        gen = _RealGenerator(terms, self.dim, np.flatnonzero(occupied[labels]))
+        coords = gen.coords(vec)
+        anti = np.linalg.norm(coords.imag) > floor
+        for c in _krylov_path(gen, np.column_stack([coords.real, coords.imag]) if anti
+                              else coords.real, times):
             state = np.zeros(self.dim * self.dim, dtype=complex)
-            for gen, path in zip(gens, paths):
-                gen.place(path[k], state)
+            gen.place(c, state)
             out.append(state.reshape(self.dim, self.dim))
         return out
-
-
-def _expm_path(gen: _RealGenerator, coords: np.ndarray, times: np.ndarray) -> list[np.ndarray]:
-    """Coordinates at times[1:], by one dense exponential of R per distinct step."""
-    real = gen.dense()
-    flows = {}
-    path = []
-    for dt in lyapunov.grid_steps(times).tolist():
-        if dt not in flows:
-            flows[dt] = expm(real * dt)
-        coords = flows[dt] @ coords
-        path.append(coords)
-    return path
 
 
 def _krylov_path(gen: _RealGenerator, coords: np.ndarray, times: np.ndarray) -> list[np.ndarray]:
@@ -546,7 +499,7 @@ class DenseBosonicEngine(_DenseEngine):
     """Truncated Fock-space realization of a bosonic model."""
 
     def __init__(self, model: GeneralizedLindbladModel, fock_dim: int = 30,
-                 mix_channels: bool = False):
+                 mix_channels: bool = False):  # inert, kept for perfbench/workloads.py
         if model.flavor != BOSONIC:
             raise StructuralError(f"expected a bosonic model, got {model.flavor!r}")
         if fock_dim < 2:
@@ -563,7 +516,6 @@ class DenseBosonicEngine(_DenseEngine):
         self.fock_dim = fock_dim
         self.n_modes = n
         self.dim = dim
-        self.mix_channels = mix_channels
         sparse = dim > _DENSE_CUTOFF
         self._zero = (sp.csr_matrix((dim, dim), dtype=complex) if sparse
                       else np.zeros((dim, dim), complex))

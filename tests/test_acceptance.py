@@ -148,13 +148,8 @@ def test_criterion_3_dense_oracle_moment_closure():
             r_max=0.08 if n_modes == 2 else 0.15,
         )
         m, dd = _cool_stable_bosonic(rng, n_modes, times, v0, nbar_cap)
-        if n_modes == 1:
-            engine = oracle.DenseBosonicEngine(m, fock_dim=fock_dim)
-            method = "expm"
-        else:
-            engine = oracle.DenseBosonicEngine(m, fock_dim=fock_dim, mix_channels=True)
-            method = "krylov"
-        rhos = engine.evolve(rho0, times, method=method)
+        engine = oracle.DenseBosonicEngine(m, fock_dim=fock_dim)
+        rhos = engine.evolve(rho0, times)
         traj = bosonic.propagate_covariance(dd, v0, times)
         for rho, state in zip(rhos, traj.states):
             engine.check_truncation(rho)
@@ -169,7 +164,7 @@ def test_criterion_3_dense_oracle_moment_closure():
         dd = fermionic.build_drift_diffusion(m)
         sigma0 = random_physical_sigma(rng, n_modes, lam_max=0.8)
         rho0 = oracle.fermionic_gibbs_state(fermionic.covariance_to_gibbs(sigma0), n_modes)
-        rhos = engine.evolve(rho0, times, method="expm")
+        rhos = engine.evolve(rho0, times)
         states = fermionic.propagate_covariance(dd, sigma0, times)
         for rho, state in zip(rhos, states):
             worst_fermionic = max(worst_fermionic,

@@ -66,6 +66,17 @@ class TestValidate:
         result = runner.invoke(main, ["validate", str(path)])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("n_modes", ["1.5", "true"])
+    def test_non_integral_mode_count_exits_two(self, runner, damped_file, tmp_path, n_modes):
+        with open(damped_file) as handle:
+            text = handle.read()
+        assert '"n_modes": 1,' in text
+        path = tmp_path / "modes.json"
+        path.write_text(text.replace('"n_modes": 1,', f'"n_modes": {n_modes},'))
+        result = runner.invoke(main, ["validate", str(path)])
+        assert result.exit_code == 2
+        assert json.loads(result.stderr)["code"] == "parse"
+
 
 class TestEvolve:
     def test_damped_oscillator_csv(self, runner, damped_file, tmp_path):
@@ -250,6 +261,22 @@ class TestEntanglement:
         payload = json.loads(result.output)
         assert payload["value"] == pytest.approx(2.0 * np.exp(-1.0), abs=1e-12)
         assert payload["entangled"] is True
+
+    @pytest.mark.parametrize("flavor", ["bosonic", "fermionic"])
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_duan_coefficient_is_a_structured_error(self, runner, tmp_path, flavor,
+                                                               alpha):
+        path = str(tmp_path / "state.json")
+        state = (bosonic.GaussianState(np.zeros(4), tmsv_cov(0.5)) if flavor == "bosonic"
+                 else fermionic.FermionicGaussianState(bell_pair_sigma()))
+        io.save_state(state, path)
+        result = runner.invoke(main, ["entanglement", "--state", path, "--measure", "duan",
+                                      "--alpha", alpha])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        error = json.loads(result.stderr)
+        assert error["code"] == "structure"
+        assert "Duan coefficients contains non-finite entries" in error["detail"]
 
     def test_fermionic_bell_logneg(self, runner, tmp_path):
         path = str(tmp_path / "bell.json")

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -109,6 +110,15 @@ class TestModelFiles:
         path = tmp_path / "missing.json"
         path.write_text('{"kind": "bosonic", "n_modes": 1}')
         with pytest.raises(ParseError, match="missing"):
+            io.load_model(str(path))
+
+    @pytest.mark.parametrize("n_modes", [1.5, True])
+    def test_non_integral_mode_count(self, tmp_path, n_modes):
+        payload = io.model_payload(damped_oscillator_model())
+        payload["n_modes"] = n_modes
+        path = tmp_path / "modes.json"
+        path.write_text(json.dumps(payload, default=lambda a: a.tolist()))
+        with pytest.raises(ParseError, match="n_modes must be an integer"):
             io.load_model(str(path))
 
     def test_inconsistent_shapes(self, tmp_path):

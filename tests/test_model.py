@@ -90,6 +90,13 @@ class TestValidateModel:
                 np.eye(2, dtype=complex),
             )
 
+    @pytest.mark.parametrize("n_modes", [1.5, True])
+    def test_non_integral_mode_count_rejected(self, n_modes):
+        # int() would read both as one mode
+        with pytest.raises(StructuralError, match="n_modes must be an integer"):
+            glme.GeneralizedLindbladModel("bosonic", n_modes, np.eye(2),
+                                          np.ones((1, 2), dtype=complex), np.eye(1, dtype=complex))
+
 
 class TestExactParts:
     @pytest.mark.parametrize("flavor", ["bosonic", "fermionic"])
@@ -180,6 +187,10 @@ class TestToStandardForm:
         gamma = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
         with pytest.raises(PositivityError, match="Hermitian"):
             model.to_standard_form(gamma, np.eye(2, dtype=complex))
+
+    def test_non_finite_f_rejected(self):
+        with pytest.raises(StructuralError, match="F contains non-finite"):
+            model.to_standard_form(np.eye(1), [[np.nan, 1.0]])
 
     def test_no_channels_gives_empty_form(self):
         # validate_model accepts a model without channels; its standard form is empty
